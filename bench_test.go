@@ -50,27 +50,27 @@ func steadyEpisodeConfig() agent.Config {
 }
 
 // BenchmarkEpisodes_VoltageScaled measures b.N voltage-scaled episodes
-// through RunManyOpts — scratch reuse, shared corruption table, discarded
+// through RunMany — scratch reuse, shared corruption table, discarded
 // per-trial results: the sweep-grid inner loop exactly as production runs
 // it. One untimed episode first absorbs the process-wide cold start (the
 // bridge's lazily measured severity tables), which would otherwise dominate
 // single-iteration (-benchtime 1x) baselines.
 func BenchmarkEpisodes_VoltageScaled(b *testing.B) {
 	cfg := steadyEpisodeConfig()
-	agent.RunManyOpts(cfg, 1, agent.RunOptions{Workers: 1, DiscardResults: true})
+	agent.RunMany(cfg, 1, agent.RunOptions{Workers: 1, DiscardResults: true})
 	b.ReportAllocs()
 	b.ResetTimer()
-	agent.RunManyOpts(cfg, b.N, agent.RunOptions{Workers: 1, DiscardResults: true})
+	agent.RunMany(cfg, b.N, agent.RunOptions{Workers: 1, DiscardResults: true})
 }
 
 // BenchmarkEpisodes_CleanStone is the fault-free counterpart: no corruption
 // draws, no VS predictor — isolates the expert/softmax/world step cost.
 func BenchmarkEpisodes_CleanStone(b *testing.B) {
 	cfg := agent.Config{Task: world.TaskStone, UniformBER: 0, StepLimit: 1200, Seed: 2026}
-	agent.RunManyOpts(cfg, 1, agent.RunOptions{Workers: 1, DiscardResults: true})
+	agent.RunMany(cfg, 1, agent.RunOptions{Workers: 1, DiscardResults: true})
 	b.ReportAllocs()
 	b.ResetTimer()
-	agent.RunManyOpts(cfg, b.N, agent.RunOptions{Workers: 1, DiscardResults: true})
+	agent.RunMany(cfg, b.N, agent.RunOptions{Workers: 1, DiscardResults: true})
 }
 
 // BenchmarkFig01_VoltageBER regenerates the voltage -> BER curve (Fig. 1(b)).

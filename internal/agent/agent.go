@@ -317,45 +317,22 @@ func Run(cfg Config) Result {
 	return runEpisode(cfg, newCorruptTable(cfg), newRunScratch())
 }
 
-// Scratch is a reusable single-episode arena for callers that issue many
-// Run-style calls in a loop: world, expert, probability buffer, histogram
-// and episode cache are reset — not reallocated — per episode. It is the
-// single-episode face of the RunMany worker scratch; byte-identity of reuse
-// is locked by TestRunWithMatchesRun. A Scratch must not be shared between
-// concurrent episodes.
-type Scratch struct {
-	rs *runScratch
-}
-
-// NewScratch returns an empty arena; buffers grow on first use.
-func NewScratch() *Scratch { return &Scratch{rs: newRunScratch()} }
-
-// RunWith is Run on a caller-owned Scratch: byte-identical results, none of
-// the per-call scratch allocation.
-func RunWith(cfg Config, sc *Scratch) Result {
-	cfg = cfg.withDefaults()
-	return runEpisode(cfg, newCorruptTable(cfg), sc.rs)
-}
-
 // Runner executes seed sweeps of one configuration. It resolves the config
 // and composes the fault-model corruption table once — the table depends
 // only on the config's voltage/error-model fields, never the seed — and
-// reuses a Scratch across episodes, so loops that previously paid
-// newCorruptTable + newRunScratch per trial pay them once.
+// reuses one episode scratch across its episodes, so loops that would pay
+// newCorruptTable + newRunScratch per trial pay them once. A Runner must
+// not be shared between concurrent episodes.
 type Runner struct {
 	cfg   Config
 	table *corruptTable
 	sc    *runScratch
 }
 
-// NewRunner builds a Runner for cfg with its own private Scratch.
-func NewRunner(cfg Config) *Runner { return NewRunnerWith(cfg, NewScratch()) }
-
-// NewRunnerWith builds a Runner for cfg on a shared Scratch, so several
-// sequential sweeps can ride one arena.
-func NewRunnerWith(cfg Config, sc *Scratch) *Runner {
+// NewRunner builds a Runner for cfg with its own private scratch.
+func NewRunner(cfg Config) *Runner {
 	cfg = cfg.withDefaults()
-	return &Runner{cfg: cfg, table: newCorruptTable(cfg), sc: sc.rs}
+	return &Runner{cfg: cfg, table: newCorruptTable(cfg), sc: newRunScratch()}
 }
 
 // RunSeed plays one episode of the Runner's configuration at seed,
@@ -624,27 +601,16 @@ type RunOptions struct {
 }
 
 // RunMany executes trials episodes with distinct seeds and aggregates them,
-// fanning trials out over all schedulable cores. Per-trial seeds are pure
-// functions of the trial index (cfg.Seed + t*7919), so the parallel schedule
-// cannot perturb any episode, and aggregation runs over the index-ordered
-// result slice — the Summary is bit-for-bit identical to a serial loop (see
-// TestRunManyParallelDeterminism).
-func RunMany(cfg Config, trials int) Summary {
-	return RunManyOpts(cfg, trials, RunOptions{})
-}
-
-// RunManyWorkers is RunMany with an explicit parallelism knob: workers <= 0
-// selects runtime.GOMAXPROCS(0), workers == 1 is the fully serial path.
-func RunManyWorkers(cfg Config, trials, workers int) Summary {
-	return RunManyOpts(cfg, trials, RunOptions{Workers: workers})
-}
-
-// RunManyOpts is the full-control entry point behind RunMany and
-// RunManyWorkers. Per-config work — default resolution and the controller
-// corruption table — happens exactly once here and is shared read-only by
-// every trial; per-worker scratch (world, expert, buffers) rides through
-// sim.MapWith, so steady-state trials allocate nothing but their Results.
-func RunManyOpts(cfg Config, trials int, o RunOptions) Summary {
+// fanning trials out over o.Workers. Per-trial seeds are pure functions of
+// the trial index (cfg.Seed + t*7919), so the parallel schedule cannot
+// perturb any episode, and aggregation runs over the index-ordered result
+// slice — the Summary is bit-for-bit identical to a serial loop (see
+// TestRunManyParallelDeterminism). Per-config work — default resolution and
+// the controller corruption table — happens exactly once here and is shared
+// read-only by every trial; per-worker scratch (world, expert, buffers)
+// rides through sim.MapWith, so steady-state trials allocate nothing but
+// their Results.
+func RunMany(cfg Config, trials int, o RunOptions) Summary {
 	cfg = cfg.withDefaults()
 	table := newCorruptTable(cfg)
 	s := Summary{Trials: trials, StepsAtMV: make(map[int]int)}

@@ -3,6 +3,7 @@ package agent
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/embodiedai/create/internal/bridge"
@@ -30,7 +31,7 @@ func testModels() (*bridge.FaultModel, *bridge.FaultModel) {
 
 func TestErrorFreeEpisodesSucceed(t *testing.T) {
 	for _, task := range world.AllTasks {
-		s := RunMany(Config{Task: task, UniformBER: 0, Seed: 42}, 12)
+		s := RunMany(Config{Task: task, UniformBER: 0, Seed: 42}, 12, RunOptions{})
 		if s.SuccessRate < 0.8 {
 			t.Errorf("%s: error-free success only %.0f%%", task, s.SuccessRate*100)
 		}
@@ -48,11 +49,37 @@ func TestEpisodeDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestRunnerMatchesRun: a Runner's seed sweep must reproduce a fresh Run
+// with the same seed for every configuration class — characterize's traced
+// clean episodes (Fig7Stages), predictor's traced stone-task sweeps
+// (OracleR2) and the fault-injected voltage-scaled steady workload — while
+// sharing one corruption table and one scratch that an unrelated-seed
+// episode has already dirtied.
+func TestRunnerMatchesRun(t *testing.T) {
+	configs := []Config{
+		{Task: world.TaskLog, UniformBER: 0, Trace: true, Seed: 41},
+		{Task: world.TaskStone, UniformBER: 0, Trace: true, Seed: 2026},
+		steadyConfig(),
+	}
+	for i, cfg := range configs {
+		runner := NewRunner(cfg)
+		runner.RunSeed(cfg.Seed + 7)
+		for t2 := 0; t2 < 3; t2++ {
+			c := cfg
+			c.Seed = cfg.Seed + int64(t2)*31
+			want := Run(c)
+			if got := runner.RunSeed(c.Seed); !reflect.DeepEqual(want, got) {
+				t.Fatalf("config %d seed %d: Runner diverged\nwant: %+v\ngot:  %+v", i, c.Seed, want, got)
+			}
+		}
+	}
+}
+
 func TestControllerFaultsDegradeMonotonically(t *testing.T) {
 	_, cm := testModels()
 	prev := 1.1
 	for _, ber := range []float64{1e-6, 1e-4, 1e-3} {
-		s := RunMany(Config{Task: world.TaskStone, Controller: cm, UniformBER: ber, Seed: 3}, 16)
+		s := RunMany(Config{Task: world.TaskStone, Controller: cm, UniformBER: ber, Seed: 3}, 16, RunOptions{})
 		if s.SuccessRate > prev+0.15 {
 			t.Fatalf("success should not improve with BER: %v at %v", s.SuccessRate, ber)
 		}
@@ -62,8 +89,8 @@ func TestControllerFaultsDegradeMonotonically(t *testing.T) {
 
 func TestPlannerFaultsInflateSteps(t *testing.T) {
 	pm, _ := testModels()
-	clean := RunMany(Config{Task: world.TaskStone, UniformBER: 0, Seed: 5}, 16)
-	faulty := RunMany(Config{Task: world.TaskStone, Planner: pm, UniformBER: 1e-8, Seed: 5}, 16)
+	clean := RunMany(Config{Task: world.TaskStone, UniformBER: 0, Seed: 5}, 16, RunOptions{})
+	faulty := RunMany(Config{Task: world.TaskStone, Planner: pm, UniformBER: 1e-8, Seed: 5}, 16, RunOptions{})
 	if faulty.SuccessRate > 0.2 && faulty.AvgSteps < clean.AvgSteps {
 		t.Fatalf("planner faults should inflate steps: %v vs %v", faulty.AvgSteps, clean.AvgSteps)
 	}
@@ -75,9 +102,9 @@ func TestPlannerFaultsInflateSteps(t *testing.T) {
 func TestADProtectionHelps(t *testing.T) {
 	_, cm := testModels()
 	ber := 3e-4
-	bare := RunMany(Config{Task: world.TaskStone, Controller: cm, UniformBER: ber, Seed: 7}, 16)
+	bare := RunMany(Config{Task: world.TaskStone, Controller: cm, UniformBER: ber, Seed: 7}, 16, RunOptions{})
 	ad := RunMany(Config{Task: world.TaskStone, Controller: cm,
-		ControlProt: bridge.Protection{AD: true}, UniformBER: ber, Seed: 7}, 16)
+		ControlProt: bridge.Protection{AD: true}, UniformBER: ber, Seed: 7}, 16, RunOptions{})
 	if ad.SuccessRate < bare.SuccessRate {
 		t.Fatalf("AD should not hurt: %v vs %v", ad.SuccessRate, bare.SuccessRate)
 	}
@@ -111,9 +138,9 @@ func TestVoltageModeUsesTimingModel(t *testing.T) {
 	_, cm := testModels()
 	tm := timing.Default()
 	high := RunMany(Config{Task: world.TaskStone, Controller: cm, UniformBER: VoltageMode,
-		Timing: tm, ControllerVoltage: 0.88, Seed: 17}, 12)
+		Timing: tm, ControllerVoltage: 0.88, Seed: 17}, 12, RunOptions{})
 	low := RunMany(Config{Task: world.TaskStone, Controller: cm, UniformBER: VoltageMode,
-		Timing: tm, ControllerVoltage: 0.65, Seed: 17}, 12)
+		Timing: tm, ControllerVoltage: 0.65, Seed: 17}, 12, RunOptions{})
 	if low.SuccessRate > high.SuccessRate {
 		t.Fatalf("lower voltage should not help: %v vs %v", low.SuccessRate, high.SuccessRate)
 	}

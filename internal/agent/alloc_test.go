@@ -108,7 +108,7 @@ var goldenSummaryHashes = map[string]string{
 
 func TestSummaryGoldenHashes(t *testing.T) {
 	for name, cfg := range determinismConfigs() {
-		got := summaryHash(RunManyWorkers(cfg, 8, 1))
+		got := summaryHash(RunMany(cfg, 8, RunOptions{Workers: 1}))
 		if want := goldenSummaryHashes[name]; got != want {
 			t.Errorf("%s: summary hash %s, want golden %s — episode bytes changed", name, got, want)
 		}
@@ -131,8 +131,8 @@ func TestVSLevelsHintDoesNotChangeOutcomes(t *testing.T) {
 	}
 	hinted := base
 	hinted.VSLevels = []float64{0.70, 0.85}
-	want := RunManyWorkers(base, 6, 1)
-	got := RunManyWorkers(hinted, 6, 1)
+	want := RunMany(base, 6, RunOptions{Workers: 1})
+	got := RunMany(hinted, 6, RunOptions{Workers: 1})
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("VSLevels hint changed episode outcomes")
 	}
@@ -140,7 +140,7 @@ func TestVSLevelsHintDoesNotChangeOutcomes(t *testing.T) {
 	// require exact float64 equality) — same outcomes.
 	collided := hinted
 	collided.VSLevels = []float64{0.70, 0.85, 0.85000000000000064}
-	if got := RunManyWorkers(collided, 6, 1); !reflect.DeepEqual(want, got) {
+	if got := RunMany(collided, 6, RunOptions{Workers: 1}); !reflect.DeepEqual(want, got) {
 		t.Fatal("colliding VSLevels declaration changed episode outcomes")
 	}
 
@@ -155,10 +155,10 @@ func TestVSLevelsHintDoesNotChangeOutcomes(t *testing.T) {
 		}
 		return 0.85000000000000064 // mv 850, distinct float from 0.85
 	}
-	wantOff := RunManyWorkers(offGrid, 6, 1)
+	wantOff := RunMany(offGrid, 6, RunOptions{Workers: 1})
 	hintedOff := offGrid
 	hintedOff.VSLevels = []float64{0.70, 0.85}
-	if got := RunManyWorkers(hintedOff, 6, 1); !reflect.DeepEqual(wantOff, got) {
+	if got := RunMany(hintedOff, 6, RunOptions{Workers: 1}); !reflect.DeepEqual(wantOff, got) {
 		t.Fatal("mv-colliding undeclared policy voltage resolved through the table")
 	}
 }
@@ -167,8 +167,8 @@ func TestVSLevelsHintDoesNotChangeOutcomes(t *testing.T) {
 // nothing but the retained slice.
 func TestDiscardResultsKeepsAggregates(t *testing.T) {
 	cfg := Config{Task: world.TaskWooden, UniformBER: 0, Seed: 42}
-	full := RunManyOpts(cfg, 6, RunOptions{Workers: 1})
-	lean := RunManyOpts(cfg, 6, RunOptions{Workers: 1, DiscardResults: true})
+	full := RunMany(cfg, 6, RunOptions{Workers: 1})
+	lean := RunMany(cfg, 6, RunOptions{Workers: 1, DiscardResults: true})
 	if lean.Results != nil {
 		t.Fatal("DiscardResults retained the per-trial slice")
 	}

@@ -31,15 +31,15 @@ func determinismConfigs() map[string]Config {
 }
 
 // TestRunManyParallelDeterminism is the regression gate for the parallel
-// engine: for every config and any worker count, RunManyWorkers must return
+// engine: for every config and any worker count, RunMany must return
 // a Summary deeply identical to the serial path — same Results order, same
 // StepsAtMV histogram, same float aggregates bit for bit.
 func TestRunManyParallelDeterminism(t *testing.T) {
 	const trials = 8
 	for name, cfg := range determinismConfigs() {
-		serial := RunManyWorkers(cfg, trials, 1)
+		serial := RunMany(cfg, trials, RunOptions{Workers: 1})
 		for _, workers := range []int{2, 3, trials, 0} {
-			parallel := RunManyWorkers(cfg, trials, workers)
+			parallel := RunMany(cfg, trials, RunOptions{Workers: workers})
 			if !reflect.DeepEqual(serial, parallel) {
 				t.Errorf("%s: workers=%d diverged from serial\nserial:   %+v\nparallel: %+v",
 					name, workers, serial, parallel)
@@ -52,8 +52,8 @@ func TestRunManyParallelDeterminism(t *testing.T) {
 // parallel-by-default RunMany must agree with the explicit serial path.
 func TestRunManyMatchesRunMany(t *testing.T) {
 	cfg := Config{Task: world.TaskStone, UniformBER: 0, Seed: 31}
-	if got, want := RunMany(cfg, 6), RunManyWorkers(cfg, 6, 1); !reflect.DeepEqual(got, want) {
-		t.Fatalf("RunMany != serial RunManyWorkers\ngot:  %+v\nwant: %+v", got, want)
+	if got, want := RunMany(cfg, 6, RunOptions{}), RunMany(cfg, 6, RunOptions{Workers: 1}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("RunMany(default options) != serial RunMany\ngot:  %+v\nwant: %+v", got, want)
 	}
 }
 
@@ -63,9 +63,9 @@ func TestRunManyMatchesRunMany(t *testing.T) {
 // must fail here rather than silently drifting every figure.
 func TestSeedStability(t *testing.T) {
 	_, cm := testModels()
-	clean := RunManyWorkers(Config{Task: world.TaskWooden, UniformBER: 0, Seed: 42}, 16, 0)
-	faulty := RunManyWorkers(Config{Task: world.TaskStone, Controller: cm,
-		UniformBER: 2e-4, Seed: 7}, 16, 0)
+	clean := RunMany(Config{Task: world.TaskWooden, UniformBER: 0, Seed: 42}, 16, RunOptions{})
+	faulty := RunMany(Config{Task: world.TaskStone, Controller: cm,
+		UniformBER: 2e-4, Seed: 7}, 16, RunOptions{})
 	if clean.SuccessRate != 1.0 || clean.AvgSteps != 102.8125 {
 		t.Errorf("clean wooden@seed42 = (%v, %v), want pinned (1.0, 102.8125)",
 			clean.SuccessRate, clean.AvgSteps)
@@ -79,8 +79,8 @@ func TestSeedStability(t *testing.T) {
 // TestPlannerVoltageMVSetOnce guards the aggregation bugfix: the summary's
 // planner supply is a config property, not "whatever trial finished last".
 func TestPlannerVoltageMVSetOnce(t *testing.T) {
-	s := RunManyWorkers(Config{Task: world.TaskWooden, UniformBER: 0,
-		PlannerVoltage: 0.85, Seed: 3}, 5, 0)
+	s := RunMany(Config{Task: world.TaskWooden, UniformBER: 0,
+		PlannerVoltage: 0.85, Seed: 3}, 5, RunOptions{})
 	if s.PlannerVoltageMV != 850 {
 		t.Fatalf("PlannerVoltageMV = %d, want 850", s.PlannerVoltageMV)
 	}

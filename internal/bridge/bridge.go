@@ -39,6 +39,7 @@ import (
 	"github.com/embodiedai/create/internal/model"
 	"github.com/embodiedai/create/internal/nn"
 	"github.com/embodiedai/create/internal/quant"
+	"github.com/embodiedai/create/internal/sim"
 	"github.com/embodiedai/create/internal/systolic"
 	"github.com/embodiedai/create/internal/tensor"
 	"github.com/embodiedai/create/internal/timing"
@@ -274,16 +275,18 @@ func boundBit(be *nn.Systolic) int {
 	return 14
 }
 
-// The severity cache is per-key singleflight rather than one global lock:
-// a process's cold start measures many distinct (model, protection,
-// component, bits) keys on first use, and holding one mutex across each
-// multi-pass measurement would serialize them. Here the lock only guards
-// the map; each key's measurement runs outside it, so distinct keys warm
-// up concurrently while duplicate callers of the same key block on its
-// entry and reuse the single result (TestSeveritySingleflight).
+// The severity memo is a mutex-guarded map in front of a per-key
+// singleflight rather than one global lock: a process's cold start measures
+// many distinct (model, protection, component, bits) keys on first use, and
+// holding one mutex across each multi-pass measurement would serialize them.
+// Here the lock only guards the map; each key's measurement runs outside
+// it, so distinct keys warm up concurrently while duplicate callers of the
+// same key join its flight and reuse the single result
+// (TestSeveritySingleflight).
 var (
-	cacheMu sync.Mutex
-	cache   = map[cacheKey]*severityEntry{}
+	severityMu     sync.Mutex
+	severities     = map[cacheKey]Severity{}
+	severityFlight sim.Flight[cacheKey, Severity]
 )
 
 type cacheKey struct {
@@ -293,55 +296,38 @@ type cacheKey struct {
 	bits      quant.Bits
 }
 
-// severityEntry is one in-flight or completed measurement. done is closed
-// once sev (or panicked) is set; waiters block on it.
-type severityEntry struct {
-	done     chan struct{}
-	sev      Severity
-	panicked any
+func memoizedSeverity(key cacheKey) (Severity, bool) {
+	severityMu.Lock()
+	s, ok := severities[key]
+	severityMu.Unlock()
+	return s, ok
 }
 
 // cachedSeverity returns the severity for key, invoking measure at most once
-// per key across all concurrent callers. A panicking measurement is removed
-// from the cache (a later call may retry) and the panic propagates to the
-// owner and every waiter.
+// per key across all callers. The flight's owner re-checks the memo before
+// measuring, closing the window where a previous owner stored the key
+// between this caller's miss and its Do. A panicking measurement stores
+// nothing (a later call may retry) and the panic propagates to the owner
+// and every waiter.
 func cachedSeverity(key cacheKey, measure func() Severity) Severity {
-	cacheMu.Lock()
-	if e, ok := cache[key]; ok {
-		cacheMu.Unlock()
-		<-e.done
-		if e.panicked != nil {
-			panic(e.panicked)
-		}
-		return e.sev
+	if s, ok := memoizedSeverity(key); ok {
+		return s
 	}
-	e := &severityEntry{done: make(chan struct{})}
-	cache[key] = e
-	cacheMu.Unlock()
-
-	defer func() {
-		if r := recover(); r != nil {
-			e.panicked = r
-			cacheMu.Lock()
-			delete(cache, key)
-			cacheMu.Unlock()
-			close(e.done)
-			panic(r)
+	return severityFlight.Do(key, func() Severity {
+		if s, ok := memoizedSeverity(key); ok {
+			return s
 		}
-	}()
-	e.sev = measure()
-	close(e.done)
-	return e.sev
+		s := measure()
+		severityMu.Lock()
+		severities[key] = s
+		severityMu.Unlock()
+		return s
+	})
 }
 
-// PlannerSeverity returns the cached severity table for the default
-// miniature planner under prot, measuring it on first use.
-func PlannerSeverity(prot Protection) Severity {
-	return PlannerSeverityFor(prot, "", quant.INT8)
-}
-
-// PlannerSeverityFor is PlannerSeverity with component targeting and
-// quantization width control.
+// PlannerSeverityFor returns the cached severity table for the default
+// miniature planner under prot, with component targeting and quantization
+// width control, measuring it on first use.
 func PlannerSeverityFor(prot Protection, component string, bits quant.Bits) Severity {
 	key := cacheKey{planner: true, prot: prot, component: component, bits: bits}
 	return cachedSeverity(key, func() Severity {
@@ -352,14 +338,9 @@ func PlannerSeverityFor(prot Protection, component string, bits quant.Bits) Seve
 	})
 }
 
-// ControllerSeverity returns the cached severity table for the default
-// miniature controller under prot, measuring it on first use.
-func ControllerSeverity(prot Protection) Severity {
-	return ControllerSeverityFor(prot, "", quant.INT8)
-}
-
-// ControllerSeverityFor is ControllerSeverity with component targeting and
-// quantization width control.
+// ControllerSeverityFor returns the cached severity table for the default
+// miniature controller under prot, with component targeting and
+// quantization width control, measuring it on first use.
 func ControllerSeverityFor(prot Protection, component string, bits quant.Bits) Severity {
 	key := cacheKey{planner: false, prot: prot, component: component, bits: bits}
 	return cachedSeverity(key, func() Severity {

@@ -11,8 +11,9 @@ import (
 
 // TestSeveritySingleflight drives cachedSeverity from many goroutines across
 // a handful of keys and asserts each key's measurement runs exactly once
-// while distinct keys are free to measure concurrently. Run under -race this
-// also locks the lock discipline of the cache.
+// while distinct keys are free to measure concurrently, and that the memo
+// keeps serving the result after the flight is over. Run under -race this
+// also locks the lock discipline of the memo.
 func TestSeveritySingleflight(t *testing.T) {
 	keys := []cacheKey{
 		{planner: true, component: "sf-test-a", bits: quant.INT8},
@@ -21,11 +22,11 @@ func TestSeveritySingleflight(t *testing.T) {
 		{planner: true, component: "sf-test-b", prot: Protection{AD: true}, bits: quant.INT8},
 	}
 	t.Cleanup(func() {
-		cacheMu.Lock()
+		severityMu.Lock()
 		for _, k := range keys {
-			delete(cache, k)
+			delete(severities, k)
 		}
-		cacheMu.Unlock()
+		severityMu.Unlock()
 	})
 
 	counts := make([]atomic.Int64, len(keys))
@@ -55,6 +56,13 @@ func TestSeveritySingleflight(t *testing.T) {
 	done.Wait()
 
 	for ki := range keys {
+		s := cachedSeverity(keys[ki], func() Severity {
+			counts[ki].Add(1)
+			return Severity{}
+		})
+		if s.Width != ki+1 {
+			t.Errorf("key %d after its flight: got width %d", ki, s.Width)
+		}
 		if n := counts[ki].Load(); n != 1 {
 			t.Fatalf("key %d measured %d times, want 1", ki, n)
 		}
@@ -62,14 +70,14 @@ func TestSeveritySingleflight(t *testing.T) {
 }
 
 // TestSeveritySingleflightPanicRetries: a panicking measurement must
-// propagate to the caller, leave no poisoned entry behind, and allow a
-// later call to retry and succeed.
+// propagate to the caller, leave nothing in the memo, and allow a later
+// call to retry and succeed.
 func TestSeveritySingleflightPanicRetries(t *testing.T) {
 	key := cacheKey{planner: true, component: "sf-test-panic", bits: quant.INT8}
 	t.Cleanup(func() {
-		cacheMu.Lock()
-		delete(cache, key)
-		cacheMu.Unlock()
+		severityMu.Lock()
+		delete(severities, key)
+		severityMu.Unlock()
 	})
 
 	func() {
@@ -93,7 +101,7 @@ func TestSeveritySingleflightPanicRetries(t *testing.T) {
 
 // BenchmarkSeverityColdStart is the uncached measurement cost one severity
 // key pays on first use — the unit of work the singleflight cold start
-// parallelizes across keys. Bypasses the cache on purpose.
+// parallelizes across keys. Bypasses the memo on purpose.
 func BenchmarkSeverityColdStart(b *testing.B) {
 	opt := DefaultMeasureOptions()
 	for i := 0; i < b.N; i++ {

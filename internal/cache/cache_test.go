@@ -33,9 +33,9 @@ func testPoint() Point {
 // testSummary is a real aggregated run, so the round-trip tests exercise the
 // exact value shapes (maps, nested results) the experiments layer caches.
 func testSummary(trials int, seed int64) agent.Summary {
-	return agent.RunManyWorkers(agent.Config{
+	return agent.RunMany(agent.Config{
 		Task: world.TaskWooden, UniformBER: 0, Seed: seed,
-	}, trials, 1)
+	}, trials, agent.RunOptions{Workers: 1})
 }
 
 func TestHitMissAccounting(t *testing.T) {

@@ -132,7 +132,7 @@ func (s *System) Run(task world.TaskName, cfg Config) Report {
 		ac.VSPolicy = func(h float64) float64 { return xform(m.Voltage(h)) }
 		ac.VSLevels = m.VoltageLevelsWith(xform)
 	}
-	sum := agent.RunMany(ac, cfg.Trials)
+	sum := agent.RunMany(ac, cfg.Trials, agent.RunOptions{})
 
 	spec := power.EpisodeSpec{
 		PlannerMACsPerCall: platforms.JARVIS1Planner.MACs(),

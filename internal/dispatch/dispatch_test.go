@@ -344,7 +344,7 @@ func TestMergeShardAtMostOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := cache.Point{Task: "wooden_pickaxe", ErrorModel: "uniform", Trials: 2, Seed: 1}
-	if err := src.Put(p, agent.RunManyWorkers(agent.Config{Task: world.TaskWooden, Seed: 1}, 2, 1)); err != nil {
+	if err := src.Put(p, agent.RunMany(agent.Config{Task: world.TaskWooden, Seed: 1}, 2, agent.RunOptions{Workers: 1})); err != nil {
 		t.Fatal(err)
 	}
 

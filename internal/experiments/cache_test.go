@@ -6,11 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"github.com/embodiedai/create/internal/agent"
 	"github.com/embodiedai/create/internal/cache"
 )
 
@@ -131,95 +128,6 @@ func TestBespokeSweepsCached(t *testing.T) {
 	}
 	if coldStore.Misses() != 0 {
 		t.Fatalf("disk replay recomputed %d points", coldStore.Misses())
-	}
-}
-
-// TestFlightCoalescesConcurrentMisses: when parallel sweeps miss the same
-// fingerprint simultaneously (overlapping service jobs), exactly one
-// computes; the rest share its summary.
-func TestFlightCoalescesConcurrentMisses(t *testing.T) {
-	var g flightGroup
-	var computes atomic.Int64
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	results := make([]float64, 16)
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			s := g.do("point", func() agent.Summary {
-				computes.Add(1)
-				time.Sleep(10 * time.Millisecond) // widen the race window
-				return agent.Summary{SuccessRate: 0.75}
-			})
-			results[i] = s.SuccessRate
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("concurrent misses computed %d times, want 1", got)
-	}
-	for i, r := range results {
-		if r != 0.75 {
-			t.Fatalf("caller %d got %v", i, r)
-		}
-	}
-
-	// Sequential calls after completion compute again — results live in the
-	// cache, not the flight group.
-	g.do("point", func() agent.Summary { computes.Add(1); return agent.Summary{} })
-	if computes.Load() != 2 {
-		t.Fatal("flight group retained a completed call")
-	}
-}
-
-// TestFlightPanicDoesNotWedge: a panicking compute releases the flight
-// slot and re-raises in the owner and every waiter — the fingerprint stays
-// usable instead of blocking all future misses forever.
-func TestFlightPanicDoesNotWedge(t *testing.T) {
-	var g flightGroup
-	recovered := func(fn func()) (r any) {
-		defer func() { r = recover() }()
-		fn()
-		return nil
-	}
-
-	inFlight := make(chan struct{})
-	release := make(chan struct{})
-	var waiterPanic any
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		_ = recovered(func() {
-			g.do("p", func() agent.Summary {
-				close(inFlight)
-				<-release
-				panic("episode exploded")
-			})
-		})
-	}()
-	waiterJoined := make(chan struct{})
-	go func() {
-		defer wg.Done()
-		<-inFlight // the owner's slot is registered and blocked in compute
-		close(waiterJoined)
-		waiterPanic = recovered(func() { g.do("p", func() agent.Summary { return agent.Summary{} }) })
-	}()
-	<-waiterJoined
-	time.Sleep(20 * time.Millisecond) // let the waiter block on the owner's done channel
-	close(release)
-	wg.Wait()
-	if waiterPanic != "episode exploded" {
-		t.Fatalf("waiter saw %v, want the owner's panic", waiterPanic)
-	}
-
-	// The slot is free: the next caller computes normally.
-	s := g.do("p", func() agent.Summary { return agent.Summary{SuccessRate: 1} })
-	if s.SuccessRate != 1 {
-		t.Fatal("flight slot wedged after a panic")
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync"
 
 	"github.com/embodiedai/create/internal/agent"
 	"github.com/embodiedai/create/internal/bridge"
@@ -176,77 +175,24 @@ type Env struct {
 	// sweeps running in parallel on this Env (e.g. two service jobs with
 	// overlapping grids) both miss a point, one computes and the rest wait
 	// for its summary instead of duplicating the Monte-Carlo work.
-	flight flightGroup
-}
-
-// flightGroup is a minimal singleflight keyed by cache fingerprint. The
-// zero value is ready to use.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flightCall
-}
-
-type flightCall struct {
-	done     chan struct{}
-	sum      agent.Summary
-	panicked any // compute's panic value, re-raised in every caller
-}
-
-// do runs compute for key exactly once among concurrent callers; latecomers
-// block until the owner finishes and share its result. Sequential calls
-// each compute (the cache, not the flight group, carries results forward).
-// A panicking compute is cleaned up — the slot is released and the done
-// channel closed, so the fingerprint never wedges — and the panic is
-// re-raised in the owner and every waiter.
-func (g *flightGroup) do(key string, compute func() agent.Summary) agent.Summary {
-	g.mu.Lock()
-	if c, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		<-c.done
-		if c.panicked != nil {
-			panic(c.panicked)
-		}
-		return c.sum
-	}
-	if g.m == nil {
-		g.m = make(map[string]*flightCall)
-	}
-	c := &flightCall{done: make(chan struct{})}
-	g.m[key] = c
-	g.mu.Unlock()
-
-	defer func() {
-		if r := recover(); r != nil {
-			c.panicked = r
-		}
-		close(c.done)
-		g.mu.Lock()
-		delete(g.m, key)
-		g.mu.Unlock()
-		if c.panicked != nil {
-			panic(c.panicked)
-		}
-	}()
-	c.sum = compute()
-	return c.sum
+	flight sim.Flight[string, agent.Summary]
 }
 
 // cachedCompute is the shared cache-or-compute path behind every cached
 // sweep (runTaskCached and the bespoke episode loops): consult the cache,
-// and on a miss compute under the per-fingerprint flight group so the same
+// and on a miss compute under the per-fingerprint flight so the same
 // point is never computed twice concurrently. The owner re-checks the
 // cache after winning the flight slot, closing the window where a previous
-// owner finished (and was deleted from the group) between this caller's
-// miss and its do(). The cancellation poll lives here — at the point
-// boundary, before the cache consult and outside the flight closure — so
-// canceling one job can never panic a concurrent job waiting on a shared
-// flight slot.
+// owner finished (and released its slot) between this caller's miss and
+// its Do. The cancellation poll lives here — at the point boundary, before
+// the cache consult and outside the flight closure — so canceling one job
+// can never panic a concurrent job waiting on a shared flight slot.
 func (e *Env) cachedCompute(opt Options, p cache.Point, compute func() agent.Summary) agent.Summary {
 	opt.checkCanceled()
 	if s, ok := e.Cache.Get(p); ok {
 		return s
 	}
-	return e.flight.do(p.Key(), func() agent.Summary {
+	return e.flight.Do(p.Key(), func() agent.Summary {
 		// The probe-then-Get shape keeps accounting exact: on the common
 		// path (nothing landed in between) no extra miss is counted, and
 		// when a just-finished owner did land the point, the Get records
@@ -311,7 +257,7 @@ func (e *Env) runTask(task world.TaskName, cfg agent.Config, opt Options) agent.
 	if cfg.Timing == nil {
 		cfg.Timing = e.Timing
 	}
-	return agent.RunManyOpts(cfg, opt.Trials,
+	return agent.RunMany(cfg, opt.Trials,
 		agent.RunOptions{Workers: opt.Workers, DiscardResults: true})
 }
 
@@ -370,17 +316,16 @@ func cachePoint(task world.TaskName, cfg agent.Config, opt Options, policyID, ov
 //
 // Cached summaries carry no per-trial Results: the sweeps only read the
 // aggregates, and persisting trials-many Result structs would inflate every
-// entry (disk and resident memory) by the trial count. The slice is dropped
-// on the compute path too, so hits and misses return the same shape.
+// entry (disk and resident memory) by the trial count. runTask already
+// drops them (agent.RunOptions.DiscardResults), so hits and misses return
+// the same shape.
 func (e *Env) runTaskCached(task world.TaskName, cfg agent.Config, opt Options, policyID, override string) agent.Summary {
 	if e.Cache == nil {
 		opt.checkCanceled()
 		return e.runTask(task, cfg, opt)
 	}
 	return e.cachedCompute(opt, cachePoint(task, cfg, opt, policyID, override), func() agent.Summary {
-		s := e.runTask(task, cfg, opt)
-		s.Results = nil
-		return s
+		return e.runTask(task, cfg, opt)
 	})
 }
 

@@ -32,7 +32,7 @@ func Table5Repetitions(e *Env, opt Options) []Table5Row {
 			UniformBER: 1e-7,
 			Seed:       opt.Seed,
 		}
-		s := agent.RunMany(cfg, n)
+		s := agent.RunMany(cfg, n, agent.RunOptions{})
 		out = append(out, Table5Row{
 			Repetitions: n,
 			SuccessRate: s.SuccessRate,

@@ -176,7 +176,7 @@ func (a *admission) remove(j *job) bool {
 		}
 		q.jobs = append(q.jobs[:i], q.jobs[i+1:]...)
 		a.total--
-		a.inUse[tenant]--
+		a.releaseLocked(tenant)
 		if len(q.jobs) == 0 {
 			delete(a.queues, tenant)
 			for k, t := range a.rr {
@@ -197,6 +197,13 @@ func (a *admission) remove(j *job) bool {
 func (a *admission) release(tenant string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.releaseLocked(tenant)
+}
+
+// releaseLocked returns one of tenant's quota slots, dropping the tenant's
+// entry once it holds none so the map does not grow with tenant churn.
+// a.mu must be held.
+func (a *admission) releaseLocked(tenant string) {
 	if a.inUse[tenant] > 0 {
 		a.inUse[tenant]--
 	}

@@ -100,6 +100,9 @@ func TestAdmissionRemove(t *testing.T) {
 	if a.depth() != 0 {
 		t.Fatalf("depth %d after remove", a.depth())
 	}
+	if n := len(a.inUse); n != 0 {
+		t.Fatalf("remove left %d idle tenant entries in the quota map", n)
+	}
 	// The quota slot was released with it.
 	if err := a.enqueue(qjob("j2", "t", 0)); err != nil {
 		t.Fatalf("quota slot leaked by remove: %v", err)

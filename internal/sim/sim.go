@@ -10,6 +10,9 @@
 // shared mutable state. Under that contract Map(n, w, fn) returns the same
 // slice for every w, and the only observable effect of Workers is
 // wall-clock time.
+//
+// Flight is the package's other primitive: a singleflight that lets
+// concurrent callers of one key share a single computation.
 package sim
 
 import (
