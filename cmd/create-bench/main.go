@@ -15,9 +15,9 @@
 // set (-cache-max-mb caps the directory, evicting least-recently-used
 // entries). -plan probes the cache without running anything and prints,
 // per experiment, how many grid points are already resident versus still
-// to compute. -shard k/n partitions every sweep grid by stable point index
-// (this process computes only its own points; the printed output is
-// partial scaffolding), and -merge unions shard cache directories into
+// to compute. -shard k/n partitions every sweep grid by stable row index
+// (this process computes only its own rows; the printed output is partial
+// scaffolding), and -merge unions shard cache directories into
 // -cache-dir before running, so a merged replay reproduces the unsharded
 // output byte for byte:
 //

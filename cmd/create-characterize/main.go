@@ -10,10 +10,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"github.com/embodiedai/create/internal/experiments"
-	"github.com/embodiedai/create/internal/registry"
+	"github.com/embodiedai/create/internal/dispatch"
 )
 
 // characterizationSet is the Sec. 4 slice of the registry.
@@ -28,32 +26,26 @@ func main() {
 	cacheMaxMB := flag.Int("cache-max-mb", 0, "cap the disk cache at this many MiB, evicting least-recently-used entries (0 = unbounded)")
 	flag.Parse()
 
-	opt := experiments.Options{Trials: *trials, Seed: *seed, Workers: *workers}
-	shard, numShards, store, err := experiments.OpenShardedCache(*shardSel, *cacheDir)
+	l, err := dispatch.OpenLocal(*shardSel, *cacheDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	opt.Shard, opt.NumShards = shard, numShards
-	if *cacheMaxMB > 0 {
-		if err := store.SetMaxBytes(int64(*cacheMaxMB) << 20); err != nil {
-			fmt.Fprintf(os.Stderr, "arming cache size cap: %v\n", err)
-			os.Exit(1)
-		}
+	if err := l.LimitDisk(*cacheMaxMB); err != nil {
+		fmt.Fprintf(os.Stderr, "arming cache size cap: %v\n", err)
+		os.Exit(1)
 	}
-	env := experiments.NewEnv()
-	env.Cache = store
+	opt := l.Options(*trials, *seed, *workers)
 
 	for i, name := range characterizationSet {
-		d, ok := registry.Lookup(name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (registered: %s)\n",
-				name, strings.Join(registry.Names(), ", "))
+		sel, err := dispatch.Selection(name)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		if i > 0 {
 			fmt.Println()
 		}
-		d.Run(env, opt).Render(os.Stdout)
+		l.Run(os.Stdout, sel, opt, false)
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
 	"net"
 	"net/http"
 	"os"
@@ -196,7 +195,7 @@ func main() {
 	}
 
 	if *planOnly {
-		plan := dispatch.PlanShardsCosted(l.Env, selection, opt, numShards, costs)
+		plan := dispatch.PlanShards(l.Env, selection, opt, numShards, costs)
 		fmt.Printf("%d experiment(s), %d shards: %d points, %d cached, %d to compute\n",
 			len(plan.Experiments), plan.NumShards, plan.GridPoints, plan.Cached, plan.ToCompute)
 		for _, w := range plan.Shards {
@@ -220,7 +219,6 @@ func main() {
 	l.Store.Register(reg)
 	coord := &dispatch.Coordinator{
 		Env: l.Env, Store: l.Store, Runners: runners,
-		Logf:    log.New(os.Stderr, "coordinator: ", 0).Printf,
 		Metrics: reg,
 		Trace:   rec,
 		Logger:  logger,

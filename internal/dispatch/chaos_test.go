@@ -92,7 +92,6 @@ func TestChaosSelfHealing(t *testing.T) {
 					RetryBaseDelay: time.Millisecond,
 				}},
 				Health: fastHealth(),
-				Logf:   t.Logf,
 			}
 			var out bytes.Buffer
 			if _, err := coord.Run(context.Background(), &out, sel, opt, 2, false); err != nil {

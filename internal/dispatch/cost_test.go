@@ -14,8 +14,8 @@ import (
 
 // TestPlanShardsCostedDeterministic: the same environment and cost table
 // always produce the same plan, the cost fields are the point counts scaled
-// by the table, and a nil table marshals byte-identically to the pre-cost
-// PlanShards output (cost fields are omitempty-zero).
+// by the table, and a nil table yields the same plan with every cost zero
+// (cost fields are omitempty, so they vanish from the marshaled plan).
 func TestPlanShardsCostedDeterministic(t *testing.T) {
 	opt := testOptions()
 	sel := selection(t, "fig19", "fig15")
@@ -30,8 +30,8 @@ func TestPlanShardsCostedDeterministic(t *testing.T) {
 	costs.Observe("fig19", 10, 25)  // 2.5 s/point
 	costs.Observe("fig15", 100, 10) // 0.1 s/point
 
-	a := PlanShardsCosted(env, sel, opt, 3, costs)
-	b := PlanShardsCosted(env, sel, opt, 3, costs)
+	a := PlanShards(env, sel, opt, 3, costs)
+	b := PlanShards(env, sel, opt, 3, costs)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("identical inputs produced different plans")
 	}
@@ -49,16 +49,24 @@ func TestPlanShardsCostedDeterministic(t *testing.T) {
 		}
 	}
 
-	plain, err := json.Marshal(PlanShards(env, sel, opt, 3))
+	// A nil table is the uncosted plan: it differs from the costed one in
+	// the cost fields alone, so costs never move shard membership.
+	plain := PlanShards(env, sel, opt, 3, nil)
+	for i := range a.Shards {
+		a.Shards[i].CostSeconds = 0
+		for k := range a.Shards[i].Jobs {
+			a.Shards[i].Jobs[k].CostSeconds = 0
+		}
+	}
+	if !reflect.DeepEqual(a, plain) {
+		t.Fatal("the cost table changed more than the plan's cost fields")
+	}
+	uncosted, err := json.Marshal(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncosted, err := json.Marshal(PlanShardsCosted(env, sel, opt, 3, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain, uncosted) {
-		t.Fatal("nil cost table changed the marshaled plan")
+	if bytes.Contains(uncosted, []byte("cost_seconds")) {
+		t.Fatalf("nil cost table marshaled cost fields: %s", uncosted)
 	}
 }
 
@@ -89,7 +97,6 @@ func TestCoordinatorCostWeightedByteIdentical(t *testing.T) {
 			&LocalRunner{Env: env, Workers: 2, Name: "l1", Costs: costs},
 			&LocalRunner{Env: env, Workers: 2, Name: "l2", Costs: costs},
 		},
-		Logf:  t.Logf,
 		Costs: costs,
 	}
 	var got bytes.Buffer
@@ -118,7 +125,7 @@ func TestExecuteCostOrder(t *testing.T) {
 	}
 	rec := &orderRunner{}
 	c := &Coordinator{
-		Env: experiments.NewEnv(), Runners: []Runner{rec}, Logf: t.Logf,
+		Env: experiments.NewEnv(), Runners: []Runner{rec},
 	}
 	if err := c.Execute(context.Background(), plan); err != nil {
 		t.Fatal(err)
@@ -132,7 +139,7 @@ func TestExecuteCostOrder(t *testing.T) {
 		plan.Shards[i].CostSeconds = 0
 	}
 	rec2 := &orderRunner{}
-	c2 := &Coordinator{Env: experiments.NewEnv(), Runners: []Runner{rec2}, Logf: t.Logf}
+	c2 := &Coordinator{Env: experiments.NewEnv(), Runners: []Runner{rec2}}
 	if err := c2.Execute(context.Background(), plan); err != nil {
 		t.Fatal(err)
 	}

@@ -134,19 +134,16 @@ type ShardPlan struct {
 // numShards ways, probing env's cache through registry.ShardPlanFor so
 // every shard carries its predicted hits and its key manifest. numShards
 // < 1 plans a single shard covering the whole grid.
-func PlanShards(env *experiments.Env, sel []registry.Descriptor, opt experiments.Options, numShards int) ShardPlan {
-	return PlanShardsCosted(env, sel, opt, numShards, nil)
-}
-
-// PlanShardsCosted is PlanShards weighted by a cost table: each shard job
-// additionally carries its predicted compute cost (ToCompute x observed
-// per-point cost of its experiment), which the coordinator's scheduler
-// orders by. The cost table only reweights scheduling — shard membership
-// is still grid-index modulo numShards, so the computed points, their
-// content addresses, and the merged cache are byte-identical whatever the
-// table says. A nil table leaves every cost zero (the uncosted plan).
-// Plans are deterministic given (env cache state, sel, opt, costs).
-func PlanShardsCosted(env *experiments.Env, sel []registry.Descriptor, opt experiments.Options, numShards int, costs *registry.CostTable) ShardPlan {
+//
+// A non-nil cost table weights the plan: each shard job additionally
+// carries its predicted compute cost (ToCompute x observed per-point cost
+// of its experiment), which the coordinator's scheduler orders by. The
+// table only reweights scheduling — shard membership is still row index
+// modulo numShards, so the computed points, their content addresses, and
+// the merged cache are byte-identical whatever the table says. A nil
+// table leaves every cost zero (the uncosted plan). Plans are
+// deterministic given (env cache state, sel, opt, costs).
+func PlanShards(env *experiments.Env, sel []registry.Descriptor, opt experiments.Options, numShards int, costs *registry.CostTable) ShardPlan {
 	if numShards < 1 {
 		numShards = 1
 	}
@@ -237,8 +234,6 @@ type Coordinator struct {
 	// MaxAttempts bounds how many times one shard may fail before the whole
 	// run fails (default 3).
 	MaxAttempts int
-	// Logf, when set, receives human-readable progress (stderr-style).
-	Logf func(format string, args ...any)
 	// Metrics receives the create_dispatch_* instrument families (shard
 	// dispatch/retry/merge counters, worker health gauge). nil lazily
 	// allocates a private registry, so accounting is always on; inject a
@@ -250,8 +245,9 @@ type Coordinator struct {
 	// (cmd/create-coordinator -trace-out). nil lazily allocates one with a
 	// trace ID derived from the plan, so span accounting is always on.
 	Trace *trace.Recorder
-	// Logger receives structured progress with trace/span IDs (the machine
-	// twin of Logf). nil discards.
+	// Logger receives the run's progress — shard dispatch, failure, merge,
+	// and worker probation/drain events — as structured records with
+	// trace/span IDs. nil discards.
 	Logger *slog.Logger
 	// Costs, when set, makes planning and scheduling cost-aware: shards
 	// are weighted by observed per-point compute cost instead of raw point
@@ -279,12 +275,6 @@ type Coordinator struct {
 	wake   chan struct{}
 }
 
-func (c *Coordinator) logf(format string, args ...any) {
-	if c.Logf != nil {
-		c.Logf(format, args...)
-	}
-}
-
 // Run is the end-to-end distributed evaluation: plan sel at numShards,
 // execute the non-free shards across the runner pool, and replay the
 // selection unsharded against the merged cache, rendering to w. The
@@ -293,7 +283,7 @@ func (c *Coordinator) logf(format string, args ...any) {
 // run would have computed itself.
 func (c *Coordinator) Run(ctx context.Context, w io.Writer, sel []registry.Descriptor, opt experiments.Options, numShards int, banner bool) (ShardPlan, error) {
 	runStart := now()
-	plan := PlanShardsCosted(c.Env, sel, opt, numShards, c.Costs)
+	plan := PlanShards(c.Env, sel, opt, numShards, c.Costs)
 	rec := c.ensureTrace(plan)
 	root := c.mintRootSpan(rec)
 	rec.Record(trace.Span{
@@ -410,7 +400,6 @@ func (c *Coordinator) Execute(ctx context.Context, plan ShardPlan) error {
 	var pending []int
 	for _, w := range plan.Shards {
 		if w.Free() {
-			c.logf("shard %s: all %d points cached; not dispatching", w.Selector, w.GridPoints)
 			c.countShard("free")
 			at := now()
 			rec.Record(trace.Span{
@@ -421,7 +410,7 @@ func (c *Coordinator) Execute(ctx context.Context, plan ShardPlan) error {
 					"grid_points": strconv.Itoa(w.GridPoints),
 				},
 			})
-			c.log().Info("shard fully cached; not dispatched",
+			c.log().Info("shard fully cached; not dispatching",
 				"trace_id", rec.TraceID(), "span_id", root,
 				"shard", w.Selector, "grid_points", w.GridPoints)
 			continue
@@ -473,8 +462,6 @@ func (c *Coordinator) Execute(ctx context.Context, plan ShardPlan) error {
 			pending = pending[1:]
 			w := plan.Shards[shard]
 			label := m.runner.Label()
-			c.logf("shard %s -> %s (%d points, %d cached, %d to compute)",
-				w.Selector, label, w.GridPoints, w.Cached, w.ToCompute)
 			c.countShard("dispatched")
 			c.countAttempt(w.Selector)
 			sp := trace.Span{
@@ -547,8 +534,6 @@ func (c *Coordinator) Execute(ctx context.Context, plan ShardPlan) error {
 			// the shard is re-queued.
 			attempts[res.shard]++
 			c.countRetry(label)
-			c.logf("shard %s failed on %s (attempt %d/%d): %v",
-				w.Selector, label, attempts[res.shard], maxAttempts, res.err)
 			c.log().Warn("shard failed; worker leaving service",
 				"trace_id", rec.TraceID(), "span_id", sp.SpanID,
 				"shard", w.Selector, "worker", label,
@@ -589,15 +574,8 @@ func (c *Coordinator) Execute(ctx context.Context, plan ShardPlan) error {
 			_ = os.RemoveAll(res.dir)
 		}
 		c.countShard("completed")
-		switch {
-		case dup:
-			c.logf("shard %s completed again on %s; merge skipped (already landed)",
-				w.Selector, label)
-		case res.dir != "":
+		if !dup && res.dir != "" {
 			c.countMergedEntries(n)
-			c.logf("shard %s done on %s: merged %d entries", w.Selector, label, n)
-		default:
-			c.logf("shard %s done on %s", w.Selector, label)
 		}
 		c.releaseMember(res.member)
 	}

@@ -152,7 +152,6 @@ func TestCoordinatorTwoWorkersByteIdentical(t *testing.T) {
 				&HTTPRunner{BaseURL: w1, StageDir: filepath.Join(stage, "w1"), Local: store, Prewarm: true},
 				&HTTPRunner{BaseURL: w2, StageDir: filepath.Join(stage, "w2"), Local: store, Prewarm: true},
 			},
-			Logf: t.Logf,
 		}
 		var out bytes.Buffer
 		plan, err := coord.Run(context.Background(), &out, sel, opt, 4, false)
@@ -247,7 +246,6 @@ func TestCoordinatorWorkerLossRequeues(t *testing.T) {
 			&HTTPRunner{BaseURL: dead, StageDir: t.TempDir(), RetryBaseDelay: time.Millisecond},
 		},
 		Health: HealthConfig{Disabled: true},
-		Logf:   t.Logf,
 	}
 	var out bytes.Buffer
 	if _, err := coord.Run(context.Background(), &out, sel, opt, 3, false); err != nil {
@@ -315,7 +313,6 @@ func TestCoordinatorAllWorkersLost(t *testing.T) {
 			MaxProbes: 3, Successes: 1,
 			BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond,
 		},
-		Logf: t.Logf,
 	}
 	var out bytes.Buffer
 	_, err = coord.Run(context.Background(), &out, selection(t, "fig19"), testOptions(), 2, false)
@@ -381,7 +378,7 @@ func TestPlanShardsHitAware(t *testing.T) {
 	}
 	env.Cache = store
 
-	cold := PlanShards(env, sel, opt, 3)
+	cold := PlanShards(env, sel, opt, 3, nil)
 	if cold.ToCompute != cold.GridPoints || cold.ToCompute == 0 {
 		t.Fatalf("cold plan implausible: %+v", cold)
 	}
@@ -395,12 +392,12 @@ func TestPlanShardsHitAware(t *testing.T) {
 
 	// Warm the cache by running the figure, then re-plan.
 	Render(&bytes.Buffer{}, env, sel, opt, false)
-	warm := PlanShards(env, sel, opt, 3)
+	warm := PlanShards(env, sel, opt, 3, nil)
 	if warm.ToCompute != 0 {
 		t.Fatalf("warm plan still wants %d points", warm.ToCompute)
 	}
 	// Execute with a runner that must never be called.
-	c := &Coordinator{Env: env, Store: store, Runners: []Runner{panicRunner{}}, Logf: t.Logf}
+	c := &Coordinator{Env: env, Store: store, Runners: []Runner{panicRunner{}}}
 	if err := c.Execute(context.Background(), warm); err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,12 @@ import (
 	"github.com/embodiedai/create/internal/registry"
 )
 
-// Local is the single-node evaluation session cmd/create-bench delegates
-// to: the sharded cache open, the shard-directory merge, and the render
-// loop all live here, so the CLI carries no shard or merge logic of its
-// own — the flags are parsed there, the semantics are decided here, and
-// the same semantics back the distributed Coordinator.
+// Local is the single-node evaluation session cmd/create-bench and
+// cmd/create-characterize delegate to: the sharded cache open, the
+// shard-directory merge, and the render loop all live here, so the CLIs
+// carry no shard or merge logic of their own — the flags are parsed there,
+// the semantics are decided here, and the same semantics back the
+// distributed Coordinator.
 type Local struct {
 	Env   *experiments.Env
 	Store *cache.Store
@@ -26,11 +27,20 @@ type Local struct {
 // behind cacheDir, and wires a fresh environment over it. Sharded
 // sessions require a disk-backed cache: a shard's stdout is partial
 // scaffolding, so without persistence its computed points would die with
-// the process.
+// the process and nothing would merge. Disk entries are only read lazily
+// on Get, so callers may still merge shard directories into cacheDir
+// after this returns.
 func OpenLocal(shardSel, cacheDir string) (*Local, error) {
-	shard, numShards, store, err := experiments.OpenShardedCache(shardSel, cacheDir)
+	shard, numShards, err := experiments.ParseShard(shardSel)
 	if err != nil {
 		return nil, err
+	}
+	if numShards > 1 && cacheDir == "" {
+		return nil, fmt.Errorf("-shard requires -cache-dir to persist the shard's points")
+	}
+	store, err := cache.New(cacheDir)
+	if err != nil {
+		return nil, fmt.Errorf("opening cache %s: %w", cacheDir, err)
 	}
 	env := experiments.NewEnv()
 	env.Cache = store

@@ -186,7 +186,7 @@ func (c *Coordinator) releaseMember(m *member) {
 	if drained {
 		c.healthyWorkers().Add(-1)
 		c.countDrained(label)
-		c.logf("worker %s drained: in-flight shard finished, leaving the pool", label)
+		c.log().Info("worker drained: in-flight shard finished, leaving the pool", "worker", label)
 	}
 	c.wakePool()
 }
@@ -229,7 +229,8 @@ func (c *Coordinator) handleFailure(m *member, health HealthConfig, rec *trace.R
 	c.poolMu.Unlock()
 	c.healthyWorkers().Add(-1)
 	c.probationWorkers().Add(1)
-	c.logf("worker %s entering probation: up to %d probes before retirement", label, health.MaxProbes)
+	c.log().Warn("worker entering probation",
+		"worker", label, "max_probes", health.MaxProbes)
 	probeWG.Add(1)
 	go c.probeMember(probeCtx, m, hc, health, rec, probeWG)
 }
@@ -308,11 +309,9 @@ func (c *Coordinator) probeMember(ctx context.Context, m *member, hc HealthCheck
 		Name: "probation " + label, Start: start, End: now(), Attrs: attrs,
 	})
 	if readmitted && !drained {
-		c.logf("worker %s readmitted after %d probe(s)", label, probes)
 		c.log().Info("worker readmitted from probation",
 			"worker", label, "probes", probes)
 	} else {
-		c.logf("worker %s %s after %d probe(s)", label, outcome, probes)
 		c.log().Warn("worker left probation without readmission",
 			"worker", label, "outcome", outcome, "probes", probes)
 	}
@@ -460,7 +459,7 @@ func (c *Coordinator) DrainRunner(label string) error {
 		case memberBusy, memberProbation:
 			m.drain = true
 			c.poolMu.Unlock()
-			c.logf("worker %s draining: will leave after its in-flight work", label)
+			c.log().Info("worker draining: will leave after its in-flight work", "worker", label)
 			return nil
 		default: // already retired or drained
 			c.poolMu.Unlock()

@@ -97,7 +97,6 @@ func TestFlakyWorkerProbationReadmit(t *testing.T) {
 		Env: env, Store: store,
 		Runners: []Runner{flaky},
 		Health:  fastHealth(),
-		Logf:    t.Logf,
 	}
 	var out bytes.Buffer
 	if _, err := coord.Run(context.Background(), &out, sel, opt, 2, false); err != nil {
@@ -149,7 +148,6 @@ func TestProbationRequiresConsecutiveSuccesses(t *testing.T) {
 			MaxProbes: 4, Successes: 2,
 			BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
 		},
-		Logf: t.Logf,
 	}
 	var out bytes.Buffer
 	_, err = coord.Run(context.Background(), &out, selection(t, "fig19"), testOptions(), 2, false)
@@ -232,7 +230,6 @@ func TestDynamicMembershipLateJoin(t *testing.T) {
 		// Pre-set so the mid-run metric polls below never race the
 		// registry's lazy initialization.
 		Metrics: obs.NewRegistry(),
-		Logf:    t.Logf,
 	}
 
 	done := make(chan error, 1)
@@ -306,7 +303,6 @@ func TestDrainRunnerMidRun(t *testing.T) {
 		Env: env, Store: store,
 		Runners: []Runner{gate, survivor},
 		Health:  fastHealth(),
-		Logf:    t.Logf,
 	}
 
 	done := make(chan error, 1)

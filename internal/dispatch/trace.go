@@ -19,9 +19,9 @@ var now = time.Now
 
 var discardLogger = slog.New(slog.DiscardHandler)
 
-// log returns the coordinator's structured logger (discard when unset).
-// Human-readable progress still goes through Logf; this stream carries
-// the trace/span IDs that join coordinator logs to worker logs.
+// log returns the coordinator's structured logger (discard when unset):
+// its one progress stream, carrying the trace/span IDs that join
+// coordinator logs to worker logs.
 func (c *Coordinator) log() *slog.Logger {
 	if c.Logger != nil {
 		return c.Logger

@@ -57,7 +57,6 @@ func TestCoordinatorStitchedTrace(t *testing.T) {
 			&HTTPRunner{BaseURL: w1, StageDir: filepath.Join(stage, "w1"), Local: store, Trace: rec},
 			&HTTPRunner{BaseURL: w2, StageDir: filepath.Join(stage, "w2"), Local: store, Trace: rec},
 		},
-		Logf:  t.Logf,
 		Trace: rec,
 	}
 	var out bytes.Buffer

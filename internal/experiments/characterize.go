@@ -133,54 +133,59 @@ type ResiliencePoint struct {
 
 // Fig5Planner sweeps uniform BER through the planner only (Fig. 5(a)/(b)).
 func Fig5Planner(e *Env, opt Options) []ResiliencePoint {
-	return resilienceSweep(e, opt, fig5PlannerJobs(e))
+	return sweep(e, opt, fig5PlannerRows(e))
 }
 
 // Fig5Controller sweeps uniform BER through the controller only
 // (Fig. 5(c)/(d)).
 func Fig5Controller(e *Env, opt Options) []ResiliencePoint {
-	return resilienceSweep(e, opt, fig5ControllerJobs(e))
+	return sweep(e, opt, fig5ControllerRows(e))
 }
 
-func fig5PlannerJobs(e *Env) []gridJob {
-	return resilienceJobs(e, []world.TaskName{world.TaskWooden, world.TaskStone},
+// Fig5Points covers the planner and controller resilience sweeps of Fig. 5
+// (the per-component severities and activation profiles run outside the
+// summary cache).
+func Fig5Points(e *Env, opt Options) []cache.Point {
+	return points(opt, fig5PlannerRows(e), fig5ControllerRows(e))
+}
+
+// Fig1Points covers fig1's cached sweep, the Fig. 5 controller curve (the
+// BER-vs-voltage curve is closed-form).
+func Fig1Points(e *Env, opt Options) []cache.Point {
+	return points(opt, fig5ControllerRows(e))
+}
+
+func fig5PlannerRows(e *Env) []row[ResiliencePoint] {
+	return resilienceRows(e, []world.TaskName{world.TaskWooden, world.TaskStone},
 		BERSweep(1e-9, 1e-6), true, false)
 }
 
-func fig5ControllerJobs(e *Env) []gridJob {
-	return resilienceJobs(e, []world.TaskName{world.TaskWooden, world.TaskStone},
+func fig5ControllerRows(e *Env) []row[ResiliencePoint] {
+	return resilienceRows(e, []world.TaskName{world.TaskWooden, world.TaskStone},
 		BERSweep(1e-6, 1e-3), false, true)
 }
 
-// resilienceJobs builds the task-major (task x BER) grid of an unprotected
-// resilience sweep.
-func resilienceJobs(e *Env, tasks []world.TaskName, bers []float64, hitPlanner, hitController bool) []gridJob {
-	jobs := make([]gridJob, 0, len(tasks)*len(bers))
+// resilienceRows builds the task-major (task x BER) grid of an unprotected
+// resilience sweep, one point per row.
+func resilienceRows(e *Env, tasks []world.TaskName, bers []float64, hitPlanner, hitController bool) []row[ResiliencePoint] {
+	rows := make([]row[ResiliencePoint], 0, len(tasks)*len(bers))
 	for _, task := range tasks {
 		for _, ber := range bers {
-			cfg := agent.Config{UniformBER: ber}
-			if hitPlanner {
-				cfg.Planner = e.Planner
-			}
-			if hitController {
-				cfg.Controller = e.Controller
-			}
-			jobs = append(jobs, gridJob{task: task, cfg: cfg})
+			rows = append(rows, static(1, func(_ int, opt Options) job {
+				cfg := agent.Config{UniformBER: ber}
+				if hitPlanner {
+					cfg.Planner = e.Planner
+				}
+				if hitController {
+					cfg.Controller = e.Controller
+				}
+				return taskJob(task, cfg, opt, "", "")
+			}, func(_ int, s agent.Summary) ResiliencePoint {
+				return ResiliencePoint{ber, task, s.SuccessRate, s.AvgSteps}
+			}))
 		}
 	}
-	return jobs
-}
-
-func resilienceSweep(e *Env, opt Options, jobs []gridJob) []ResiliencePoint {
-	var out []ResiliencePoint
-	for idx, j := range jobs {
-		if !opt.owns(idx) {
-			continue
-		}
-		s := e.runJob(j, opt)
-		out = append(out, ResiliencePoint{j.cfg.UniformBER, j.task, s.SuccessRate, s.AvgSteps})
-	}
-	return out
+	return rows
 }
 
 // RenderResilience prints a resilience sweep as the paper's success/steps
@@ -314,11 +319,16 @@ var Fig6Tasks = []world.TaskName{
 // deterministic chains (log, stone) collapse abruptly past 1e-4 while
 // stochastic interactions (chicken, wool) degrade gradually.
 func Fig6Subtasks(e *Env, opt Options) []ResiliencePoint {
-	return resilienceSweep(e, opt, fig6Jobs(e))
+	return sweep(e, opt, fig6Rows(e))
 }
 
-func fig6Jobs(e *Env) []gridJob {
-	return resilienceJobs(e, Fig6Tasks, BERSweep(1e-6, 1e-2), false, true)
+// Fig6Points covers the subtask-diversity sweep.
+func Fig6Points(e *Env, opt Options) []cache.Point {
+	return points(opt, fig6Rows(e))
+}
+
+func fig6Rows(e *Env) []row[ResiliencePoint] {
+	return resilienceRows(e, Fig6Tasks, BERSweep(1e-6, 1e-2), false, true)
 }
 
 // ---------------------------------------------------------------------------
@@ -375,65 +385,64 @@ type StageCorruption struct {
 	AvgSteps    float64
 }
 
-// fig7InjectionTargets are the corrupted phases of the Fig. 7 experiment,
-// in row order (also the sharding grain).
-var fig7InjectionTargets = []world.Phase{world.PhaseExplore, world.PhaseExecute}
-
-// fig7InjectionPoint fingerprints one phase-targeted corruption row. The
-// bespoke episode loop has no agent.Config to map mechanically, so the
-// error-model tag and override name identify the loop and its target phase;
-// BER carries the per-step corruption probability q.
-func fig7InjectionPoint(q float64, target world.Phase, opt Options) cache.Point {
-	return cache.Point{
-		Task:       string(world.TaskLog),
-		ErrorModel: "phase-targeted",
-		BER:        q,
-		Override:   "phase-inject/" + strconv.Itoa(int(target)),
-		Trials:     opt.Trials,
-		Seed:       opt.Seed,
-	}
-}
+// Fig7InjectionQ is the per-step corruption probability of the Fig. 7
+// phase-targeted injection experiment, shared by every runner of the figure.
+const Fig7InjectionQ = 0.5
 
 // Fig7PhaseInjection injects a fixed action-corruption probability only
 // during the given phase of the log task. Rows are cached (the aggregate is
 // a pure function of the fingerprint) and sharded at row grain, so sharded
 // and served runs reuse them like any other grid point.
 func Fig7PhaseInjection(e *Env, opt Options, q float64) []StageCorruption {
-	var out []StageCorruption
-	for idx, target := range fig7InjectionTargets {
-		if !opt.owns(idx) {
-			continue
-		}
-		out = append(out, e.phaseInjectionRow(q, target, opt))
-	}
-	return out
+	return sweep(e, opt, fig7Rows(q))
 }
 
-func (e *Env) phaseInjectionRow(q float64, target world.Phase, opt Options) StageCorruption {
-	compute := func() agent.Summary {
-		success, stepsSum, n := 0, 0.0, 0
-		sc := &phaseScratch{}
-		for t := 0; t < opt.Trials; t++ {
-			r := runPhaseTargeted(sc, world.TaskLog, q, target, opt.Seed+int64(t)*17)
-			if r.ok {
-				success++
-				stepsSum += float64(r.steps)
-				n++
+// Fig7Points covers the phase-targeted injection rows (the stage profile
+// runs uncached episodes).
+func Fig7Points(e *Env, opt Options) []cache.Point {
+	return points(opt, fig7Rows(Fig7InjectionQ))
+}
+
+// fig7Rows is one row per corrupted phase. The bespoke episode loop has no
+// agent.Config to map mechanically, so the error-model tag and override
+// name identify the loop and its target phase; BER carries the per-step
+// corruption probability q.
+func fig7Rows(q float64) []row[StageCorruption] {
+	var rows []row[StageCorruption]
+	for _, target := range []world.Phase{world.PhaseExplore, world.PhaseExecute} {
+		rows = append(rows, static(1, func(_ int, opt Options) job {
+			return job{
+				point: cache.Point{
+					Task:       string(world.TaskLog),
+					ErrorModel: "phase-targeted",
+					BER:        q,
+					Override:   "phase-inject/" + strconv.Itoa(int(target)),
+					Trials:     opt.Trials,
+					Seed:       opt.Seed,
+				},
+				compute: func(o Options) agent.Summary {
+					success, stepsSum, n := 0, 0.0, 0
+					sc := &phaseScratch{}
+					for t := 0; t < o.Trials; t++ {
+						r := runPhaseTargeted(sc, world.TaskLog, q, target, o.Seed+int64(t)*17)
+						if r.ok {
+							success++
+							stepsSum += float64(r.steps)
+							n++
+						}
+					}
+					sum := agent.Summary{Trials: o.Trials, SuccessRate: float64(success) / float64(o.Trials)}
+					if n > 0 {
+						sum.AvgSteps = stepsSum / float64(n)
+					}
+					return sum
+				},
 			}
-		}
-		sum := agent.Summary{Trials: opt.Trials, SuccessRate: float64(success) / float64(opt.Trials)}
-		if n > 0 {
-			sum.AvgSteps = stepsSum / float64(n)
-		}
-		return sum
+		}, func(_ int, s agent.Summary) StageCorruption {
+			return StageCorruption{Phase: target, SuccessRate: s.SuccessRate, AvgSteps: s.AvgSteps}
+		}))
 	}
-	var s agent.Summary
-	if e.Cache == nil {
-		s = compute()
-	} else {
-		s = e.cachedCompute(opt, fig7InjectionPoint(q, target, opt), compute)
-	}
-	return StageCorruption{Phase: target, SuccessRate: s.SuccessRate, AvgSteps: s.AvgSteps}
+	return rows
 }
 
 type phaseResult struct {

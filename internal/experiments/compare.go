@@ -4,6 +4,7 @@ import (
 	"github.com/embodiedai/create/internal/agent"
 	"github.com/embodiedai/create/internal/baselines"
 	"github.com/embodiedai/create/internal/bridge"
+	"github.com/embodiedai/create/internal/cache"
 	"github.com/embodiedai/create/internal/policy"
 	"github.com/embodiedai/create/internal/world"
 )
@@ -31,27 +32,46 @@ var Fig20Voltages = []float64{0.90, 0.85, 0.80, 0.75, 0.70, 0.65}
 // overhead explodes below ~0.85 V; CREATE alone keeps both quality and
 // energy (Sec. 6.10: 35.0 % / 33.8 % savings over the best baseline).
 func Fig20Baselines(e *Env, opt Options) []ComparisonPoint {
-	var out []ComparisonPoint
-	idx := 0
+	return sweep(e, opt, fig20Rows(e))
+}
+
+// Fig20Points covers CREATE and every baseline across the comparison's
+// supply grid.
+func Fig20Points(e *Env, opt Options) []cache.Point {
+	return points(opt, fig20Rows(e))
+}
+
+// fig20Rows is one row per (task, supply): job 0 is the full CREATE stack,
+// job k the (k-1)-th baseline.
+func fig20Rows(e *Env) []row[ComparisonPoint] {
+	var rows []row[ComparisonPoint]
 	for _, task := range []world.TaskName{world.TaskWooden, world.TaskStone} {
 		for _, v := range Fig20Voltages {
-			if !opt.owns(idx) {
-				idx++
-				continue
-			}
-			idx++
-			out = append(out, e.createPoint(task, v, opt))
-			for _, b := range baselines.All {
-				out = append(out, e.baselinePoint(task, b, v, opt))
-			}
+			rows = append(rows, static(1+len(baselines.All), func(k int, opt Options) job {
+				if k == 0 {
+					cfg, policyID := e.createConfig(v)
+					return taskJob(task, cfg, opt, policyID, "")
+				}
+				cfg, override := e.baselineConfig(baselines.All[k-1], v)
+				return taskJob(task, cfg, opt, "", override)
+			}, func(k int, s agent.Summary) ComparisonPoint {
+				p := ComparisonPoint{Task: task, Voltage: v, SuccessRate: s.SuccessRate, AvgSteps: s.AvgSteps}
+				if k == 0 {
+					p.Technique, p.EnergyJ = "CREATE", e.EpisodeEnergy(s, true)
+					return p
+				}
+				// A baseline pays its protection's energy factor.
+				b := baselines.All[k-1]
+				p.Technique, p.EnergyJ = b.Name, e.EpisodeEnergy(s, false)*b.EnergyFactor(e.Timing, v)
+				return p
+			}))
 		}
 	}
-	return out
+	return rows
 }
 
 // createConfig is the full CREATE stack at supply v (AD+WR planner, AD+VS
-// controller with the supply as the VS ceiling), shared by the runner and
-// the fingerprint enumerator.
+// controller with the supply as the VS ceiling).
 func (e *Env) createConfig(v float64) (agent.Config, string) {
 	cfg := agent.Config{
 		Planner:     e.Planner,
@@ -62,24 +82,13 @@ func (e *Env) createConfig(v float64) (agent.Config, string) {
 		Timing:      e.Timing,
 	}
 	cfg.PlannerVoltage = v
-	// The shared ceiling-at-supply policy of runOverall's "AD+WR+VS": same
+	// The shared ceiling-at-supply policy of Fig. 16's "AD+WR+VS": same
 	// closure, same cache identity, so matching (task, v, trials, seed)
 	// points are shared with the Fig. 16 sweeps outright.
 	vs, levels, policyID := ceiledPolicy(v)
 	cfg.VSPolicy = vs
 	cfg.VSLevels = levels
 	return cfg, policyID
-}
-
-// createPoint runs the full CREATE stack.
-func (e *Env) createPoint(task world.TaskName, v float64, opt Options) ComparisonPoint {
-	cfg, policyID := e.createConfig(v)
-	s := e.runTaskCached(task, cfg, opt, policyID, "")
-	return ComparisonPoint{
-		Technique: "CREATE", Task: task, Voltage: v,
-		SuccessRate: s.SuccessRate, AvgSteps: s.AvgSteps,
-		EnergyJ: e.EpisodeEnergy(s, true),
-	}
 }
 
 // baselineConfig is one prior-art technique at a fixed supply via the
@@ -99,17 +108,6 @@ func (e *Env) baselineConfig(b baselines.Baseline, v float64) (agent.Config, str
 			return b.ControllerCorrupt(e.Timing, cv)
 		},
 	}, b.Name
-}
-
-// baselinePoint runs one prior-art technique, applying its energy factor.
-func (e *Env) baselinePoint(task world.TaskName, b baselines.Baseline, v float64, opt Options) ComparisonPoint {
-	cfg, override := e.baselineConfig(b, v)
-	s := e.runTaskCached(task, cfg, opt, "", override)
-	energy := e.EpisodeEnergy(s, false) * b.EnergyFactor(e.Timing, v)
-	return ComparisonPoint{
-		Technique: b.Name, Task: task, Voltage: v,
-		SuccessRate: s.SuccessRate, AvgSteps: s.AvgSteps, EnergyJ: energy,
-	}
 }
 
 // BestEnergyAtQuality returns, for one technique, the lowest per-task energy

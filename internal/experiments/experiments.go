@@ -36,14 +36,15 @@ type Options struct {
 	// 1 forces the fully serial path. Results are identical either way —
 	// the engine's ordered collection keeps aggregation deterministic.
 	Workers int
-	// Shard/NumShards partition every sweep grid by stable point index:
-	// with NumShards = n > 1, this process computes only points whose grid
-	// index i satisfies i % n == Shard (0-based). Skipped points yield
-	// zero rows, so a sharded run's printed output is partial scaffolding;
-	// the full result set is reassembled by merging the shards' cache
-	// directories and replaying with sharding off (create-bench -merge).
-	// Sharding is deliberately NOT part of the cache fingerprint: a point
-	// computed by any shard replays identically everywhere.
+	// Shard/NumShards partition every sweep grid by stable row index:
+	// with NumShards = n > 1, this process computes only the rows whose
+	// index i within their sweep's row list satisfies i % n == Shard
+	// (0-based). Rows it does not own are dropped from the output, so a
+	// sharded run's printed output is partial scaffolding; the full result
+	// set is reassembled by merging the shards' cache directories and
+	// replaying with sharding off (create-bench -merge). Sharding is
+	// deliberately NOT part of the cache fingerprint: a point computed by
+	// any shard replays identically everywhere.
 	Shard     int
 	NumShards int
 	// Ctx, when non-nil, lets the caller abort a running evaluation between
@@ -58,7 +59,7 @@ type Options struct {
 
 // Canceled is the panic value raised at a grid-point boundary once
 // Options.Ctx is canceled. It unwinds the sweep through the deterministic
-// engine (sim.Map re-raises worker panics on the caller) and is recovered
+// engine (sim.MapWith re-raises worker panics on the caller) and is recovered
 // by the service layer, which marks the job canceled rather than failed.
 type Canceled struct{}
 
@@ -78,18 +79,18 @@ func (o Options) checkCanceled() {
 }
 
 // owns reports whether this process's shard is responsible for computing
-// grid point i. NumShards <= 1 means no sharding: every point is owned.
+// row i of a sweep. NumShards <= 1 means no sharding: every row is owned.
 func (o Options) owns(i int) bool {
 	return o.NumShards <= 1 || i%o.NumShards == o.Shard
 }
 
-// split divides the Workers budget between a sweep grid of n points and the
-// trial loops nested inside each point, returning the grid-level worker
+// split divides the Workers budget between a sweep of n rows and the trial
+// loops nested inside each row's points, returning the grid-level worker
 // count and an Options carrying the per-point remainder. Keeps total
 // concurrent episodes within Workers instead of multiplying to Workers^2.
-// Under sharding the budget is sized by the points this shard owns, not
-// the full grid: skipped points return instantly, so splitting over the
-// full n would starve the owned points' trial loops and idle cores.
+// Under sharding the budget is sized by the rows this shard owns, not the
+// full grid: skipped rows return instantly, so splitting over the full n
+// would starve the owned rows' trial loops and idle cores.
 // sim.Split guarantees both levels are at least 1 (a 0 would select
 // GOMAXPROCS downstream; see TestOptionsSplitNeverZero).
 func (o Options) split(n int) (int, Options) {
@@ -132,27 +133,6 @@ func ParseShard(s string) (shard, numShards int, err error) {
 	return ki - 1, ni, nil
 }
 
-// OpenShardedCache handles the -shard/-cache-dir pair both CLIs share:
-// parse the selector, refuse sharded runs that would not persist their
-// points (a sharded run's stdout is partial scaffolding — without a cache
-// dir the computed points die with the process and nothing merges), and
-// open the store. Disk entries are only read lazily on Get, so callers may
-// still merge shard directories into cacheDir after this returns.
-func OpenShardedCache(shardSel, cacheDir string) (shard, numShards int, store *cache.Store, err error) {
-	shard, numShards, err = ParseShard(shardSel)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if numShards > 1 && cacheDir == "" {
-		return 0, 0, nil, fmt.Errorf("-shard requires -cache-dir to persist the shard's points")
-	}
-	store, err = cache.New(cacheDir)
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("opening cache %s: %w", cacheDir, err)
-	}
-	return shard, numShards, store, nil
-}
-
 // DefaultOptions reproduces the paper's repetition count.
 func DefaultOptions() Options { return Options{Trials: 100, Seed: 2026} }
 
@@ -178,36 +158,47 @@ type Env struct {
 	flight sim.Flight[string, agent.Summary]
 }
 
-// cachedCompute is the shared cache-or-compute path behind every cached
-// sweep (runTaskCached and the bespoke episode loops): consult the cache,
-// and on a miss compute under the per-fingerprint flight so the same
-// point is never computed twice concurrently. The owner re-checks the
+// cachedCompute is the cache-or-compute path behind every sweep: consult
+// the cache, and on a miss compute under the per-fingerprint flight so the
+// same point is never computed twice concurrently. The owner re-checks the
 // cache after winning the flight slot, closing the window where a previous
 // owner finished (and released its slot) between this caller's miss and
 // its Do. The cancellation poll lives here — at the point boundary, before
 // the cache consult and outside the flight closure — so canceling one job
-// can never panic a concurrent job waiting on a shared flight slot.
-func (e *Env) cachedCompute(opt Options, p cache.Point, compute func() agent.Summary) agent.Summary {
+// can never panic a concurrent job waiting on a shared flight slot. With
+// no cache attached the job is simply computed.
+func (e *Env) cachedCompute(opt Options, j *job) agent.Summary {
 	opt.checkCanceled()
-	if s, ok := e.Cache.Get(p); ok {
+	if e.Cache == nil {
+		return e.compute(opt, j)
+	}
+	if s, ok := e.Cache.Get(j.point); ok {
 		return s
 	}
-	return e.flight.Do(p.Key(), func() agent.Summary {
+	return e.flight.Do(j.point.Key(), func() agent.Summary {
 		// The probe-then-Get shape keeps accounting exact: on the common
 		// path (nothing landed in between) no extra miss is counted, and
 		// when a just-finished owner did land the point, the Get records
 		// the reuse as a hit.
-		if e.Cache.Contains(p) {
-			if s, ok := e.Cache.Get(p); ok {
+		if e.Cache.Contains(j.point) {
+			if s, ok := e.Cache.Get(j.point); ok {
 				return s
 			}
 		}
-		s := compute()
+		s := e.compute(opt, j)
 		// A Put failure (e.g. an unwritable cache dir) must not fail the
 		// sweep: the computed summary is still correct, only reuse is lost.
-		_ = e.Cache.Put(p, s)
+		_ = e.Cache.Put(j.point, s)
 		return s
 	})
+}
+
+// compute runs a job's Monte-Carlo loop.
+func (e *Env) compute(opt Options, j *job) agent.Summary {
+	if j.compute != nil {
+		return j.compute(opt)
+	}
+	return e.runTask(j.task, j.cfg, opt)
 }
 
 // NewEnv builds the default JARVIS-1 environment.
@@ -310,63 +301,103 @@ func cachePoint(task world.TaskName, cfg agent.Config, opt Options, policyID, ov
 	return p
 }
 
-// runTaskCached is runTask behind the content-addressed cache: identical
-// grid points — same fingerprint per cachePoint — are computed once and
-// replayed everywhere else. With no cache attached it is exactly runTask.
+// job is one cacheable grid point: its content address and how to compute
+// the summary stored under it — runTask on (task, cfg), or the bespoke
+// Monte-Carlo loop compute when set. compute receives the point's share of
+// the Workers budget; every other input is fixed when the job is built, so
+// the address names it fully.
 //
 // Cached summaries carry no per-trial Results: the sweeps only read the
-// aggregates, and persisting trials-many Result structs would inflate every
-// entry (disk and resident memory) by the trial count. runTask already
-// drops them (agent.RunOptions.DiscardResults), so hits and misses return
-// the same shape.
-func (e *Env) runTaskCached(task world.TaskName, cfg agent.Config, opt Options, policyID, override string) agent.Summary {
-	if e.Cache == nil {
-		opt.checkCanceled()
-		return e.runTask(task, cfg, opt)
-	}
-	return e.cachedCompute(opt, cachePoint(task, cfg, opt, policyID, override), func() agent.Summary {
-		return e.runTask(task, cfg, opt)
-	})
+// aggregates, and runTask already drops them
+// (agent.RunOptions.DiscardResults), so hits and misses return the same
+// shape.
+type job struct {
+	point   cache.Point
+	task    world.TaskName
+	cfg     agent.Config
+	compute func(Options) agent.Summary
 }
 
-// gridJob is one cacheable runTask invocation: the grid coordinate shared
-// by a sweep's runner and its cache-planning enumerator (the *Points
-// functions in points.go), so the executed configs and the predicted
-// fingerprints are built by the same code and cannot drift apart.
-type gridJob struct {
-	task     world.TaskName
-	cfg      agent.Config
-	policyID string
-	override string
+// taskJob is the job of one runTask invocation; policyID and override name
+// the function-valued hooks cachePoint cannot inspect.
+func taskJob(task world.TaskName, cfg agent.Config, opt Options, policyID, override string) job {
+	return job{point: cachePoint(task, cfg, opt, policyID, override), task: task, cfg: cfg}
 }
 
-// runJob evaluates one grid job through the content-addressed cache.
-func (e *Env) runJob(j gridJob, opt Options) agent.Summary {
-	return e.runTaskCached(j.task, j.cfg, opt, j.policyID, j.override)
+// row is one shardable unit of a figure's grid: n jobs, built on demand
+// by job, and eval, which turns their summaries into output rows. Static
+// rows read every job. Minimal-voltage descents stop at the first supply
+// that breaks quality, so their n jobs are a superset of what a run
+// computes, and the jobs past the stop are never built. The same row list
+// drives a figure's runner (sweep) and its cache plan (points), so the two
+// cannot drift apart.
+type row[T any] struct {
+	n    int
+	job  func(k int, opt Options) job
+	eval func(sum func(k int) agent.Summary) []T
 }
 
-// jobPoints maps a job grid to the cache fingerprints its run consults,
-// ignoring sharding — for the few sweeps that run their whole grid on
-// every shard (Table 6).
-func jobPoints(jobs []gridJob, opt Options) []cache.Point {
-	pts := make([]cache.Point, len(jobs))
-	for i, j := range jobs {
-		pts[i] = cachePoint(j.task, j.cfg, opt, j.policyID, j.override)
-	}
-	return pts
-}
-
-// ownedJobPoints maps one sweep's job grid to the fingerprints this shard
-// will consult. Every sharded runner indexes its own grid from zero, so
-// ownership must be applied per job list — never across a concatenation of
-// several sweeps' lists.
-func ownedJobPoints(jobs []gridJob, opt Options) []cache.Point {
-	var pts []cache.Point
-	for i, j := range jobs {
-		if !opt.owns(i) {
-			continue
+// static is a row that reads all n jobs in order: the k-th job yields the
+// k-th output row.
+func static[T any](n int, job func(k int, opt Options) job, out func(k int, s agent.Summary) T) row[T] {
+	return row[T]{n: n, job: job, eval: func(sum func(k int) agent.Summary) []T {
+		rows := make([]T, n)
+		for k := range rows {
+			rows[k] = out(k, sum(k))
 		}
-		pts = append(pts, cachePoint(j.task, j.cfg, opt, j.policyID, j.override))
+		return rows
+	}}
+}
+
+// sweep runs one grid. Rows are indexed from 0 within the list; the rows
+// this shard owns fan out over the grid share of the Workers budget, every
+// job is served through the cache, and the owned rows' outputs are
+// concatenated in row order (unowned rows are dropped).
+func sweep[T any](e *Env, opt Options, rows []row[T]) []T {
+	gridW, opt := opt.split(len(rows))
+	chunks := sim.MapWith(len(rows), gridW, func() struct{} { return struct{}{} },
+		func(i int, _ struct{}) []T {
+			if !opt.owns(i) {
+				return nil
+			}
+			r := rows[i]
+			return r.eval(func(k int) agent.Summary {
+				j := r.job(k, opt)
+				return e.cachedCompute(opt, &j)
+			})
+		})
+	total := 0
+	for _, c := range chunks {
+		total += len(c)
+	}
+	out := make([]T, 0, total)
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
+// points is the cache plan of one or more grids: the address of every job
+// in the rows this shard owns, in row order. Each row list shards from
+// index 0, exactly as sweep runs it.
+func points[T any](opt Options, grids ...[]row[T]) []cache.Point {
+	n := 0
+	for _, rows := range grids {
+		for i, r := range rows {
+			if opt.owns(i) {
+				n += r.n
+			}
+		}
+	}
+	pts := make([]cache.Point, 0, n)
+	for _, rows := range grids {
+		for i, r := range rows {
+			if opt.owns(i) {
+				for k := 0; k < r.n; k++ {
+					pts = append(pts, r.job(k, opt).point)
+				}
+			}
+		}
 	}
 	return pts
 }

@@ -37,12 +37,6 @@ func QuickPredictorScale() PredictorScale {
 	return PredictorScale{TrainFrames: 4000, TestFrames: 400, Epochs: 8}
 }
 
-// FullPredictorScale is the EXPERIMENTS.md reference run (several minutes,
-// R^2 approaching the paper's 0.92 asymptotically).
-func FullPredictorScale() PredictorScale {
-	return PredictorScale{TrainFrames: 16000, TestFrames: 1200, Epochs: 16}
-}
-
 // Fig14Predictor trains and evaluates the Table 9 predictor end to end.
 func Fig14Predictor(opt Options, scale PredictorScale) PredictorResult {
 	train := entropy.BuildDataset(scale.TrainFrames, opt.Seed)

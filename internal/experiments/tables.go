@@ -3,6 +3,7 @@ package experiments
 import (
 	"github.com/embodiedai/create/internal/agent"
 	"github.com/embodiedai/create/internal/bridge"
+	"github.com/embodiedai/create/internal/cache"
 	"github.com/embodiedai/create/internal/quant"
 	"github.com/embodiedai/create/internal/stats"
 	"github.com/embodiedai/create/internal/world"
@@ -60,40 +61,38 @@ type Table6Row struct {
 // INT4 (which only matter under non-uniform rates); the AD+WR knee applies
 // to both.
 func Table6Quantization(e *Env, opt Options) []Table6Row {
-	var out []Table6Row
-	for _, bits := range table6Bits {
-		for _, j := range table6Jobs(e, bits) {
-			// fm.ID() separates the INT4 variant; the INT8 rows share the
-			// Fig. 13 ablation's points where the BER grids overlap.
-			s := e.runJob(j, opt)
-			out = append(out, Table6Row{Bits: bits, BER: j.cfg.UniformBER, SuccessRate: s.SuccessRate})
-		}
-	}
-	return out
+	return sweep(e, opt, table6Rows(e))
 }
 
-var (
-	table6Bits = []quant.Bits{quant.INT8, quant.INT4}
-	table6BERs = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2}
-)
+// Table6Points covers both quantization formats across the high-BER band.
+func Table6Points(e *Env, opt Options) []cache.Point {
+	return points(opt, table6Rows(e))
+}
 
-// table6Jobs builds one quantization format's BER grid, shared by the
-// runner and the fingerprint enumerator.
-func table6Jobs(e *Env, bits quant.Bits) []gridJob {
-	fm := e.Planner
-	if bits == quant.INT4 {
-		fm = platformPlannerWithBits(bits)
-	}
-	jobs := make([]gridJob, 0, len(table6BERs))
-	for _, ber := range table6BERs {
-		cfg := agent.Config{
-			Planner:     fm,
-			PlannerProt: bridge.Protection{AD: true, WR: true},
-			UniformBER:  ber,
+// table6Rows is the (format x BER) grid, one point per row. fm.ID()
+// separates the INT4 variant; the INT8 rows share the Fig. 13 ablation's
+// points where the BER grids overlap.
+func table6Rows(e *Env) []row[Table6Row] {
+	var rows []row[Table6Row]
+	for _, bits := range []quant.Bits{quant.INT8, quant.INT4} {
+		fm := e.Planner
+		if bits == quant.INT4 {
+			fm = platformPlannerWithBits(bits)
 		}
-		jobs = append(jobs, gridJob{task: world.TaskStone, cfg: cfg})
+		for _, ber := range []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2} {
+			rows = append(rows, static(1, func(_ int, opt Options) job {
+				cfg := agent.Config{
+					Planner:     fm,
+					PlannerProt: bridge.Protection{AD: true, WR: true},
+					UniformBER:  ber,
+				}
+				return taskJob(world.TaskStone, cfg, opt, "", "")
+			}, func(_ int, s agent.Summary) Table6Row {
+				return Table6Row{Bits: bits, BER: ber, SuccessRate: s.SuccessRate}
+			}))
+		}
 	}
-	return jobs
+	return rows
 }
 
 func platformPlannerWithBits(bits quant.Bits) *bridge.FaultModel {

@@ -126,24 +126,38 @@ func TestShardedEnumerationPartitionsTheGrid(t *testing.T) {
 	}
 }
 
-// TestShardedPlanMatchesShardedRun: a sharded run computes exactly its
-// shard's enumerated points (static grid), so the surfaced plan and the
-// job's cache accounting agree.
+// TestShardedPlanMatchesShardedRun: every static, fully cached grid
+// shards (shard 2/3 plans only part of the grid), a sharded run computes
+// exactly its shard's enumerated points, so the surfaced plan and the
+// job's cache accounting agree, and a replay of the same shard plans as
+// free. (fig5 and fig7 have uncached panels, so they never plan free;
+// their cached sweeps are fig1's and fig6's builders.)
 func TestShardedPlanMatchesShardedRun(t *testing.T) {
-	opt := testOptions()
+	full := testOptions()
+	opt := full
 	opt.Shard, opt.NumShards = 1, 3
-	d, _ := Lookup("fig19")
-	e := experiments.NewEnv()
-	store, _ := cache.New("")
-	e.Cache = store
+	for _, d := range All() {
+		if d.Points == nil || d.Dynamic || d.Uncached {
+			continue
+		}
+		t.Run(d.Name, func(t *testing.T) {
+			e := experiments.NewEnv()
+			store, _ := cache.New("")
+			e.Cache = store
 
-	plan := PlanFor(d, e, opt)
-	d.Run(e, opt)
-	if int(store.Misses()) != plan.ToCompute {
-		t.Fatalf("shard plan predicted %d points, run computed %d", plan.ToCompute, store.Misses())
-	}
-	if warm := PlanFor(d, e, opt); !warm.Free() {
-		t.Fatalf("sharded replay should plan free: %+v", warm)
+			plan := PlanFor(d, e, opt)
+			if whole := PlanFor(d, e, full); plan.GridPoints >= whole.GridPoints {
+				t.Fatalf("shard plans %d of the grid's %d points: the grid does not shard",
+					plan.GridPoints, whole.GridPoints)
+			}
+			d.Run(e, opt)
+			if int(store.Misses()) != plan.ToCompute {
+				t.Fatalf("shard plan predicted %d points, run computed %d", plan.ToCompute, store.Misses())
+			}
+			if warm := PlanFor(d, e, opt); !warm.Free() {
+				t.Fatalf("sharded replay should plan free: %+v", warm)
+			}
+		})
 	}
 }
 

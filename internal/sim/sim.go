@@ -7,8 +7,8 @@
 //
 // Determinism contract: fn must derive all randomness from its index (the
 // callers seed per-trial RNGs as pure functions of i) and must not touch
-// shared mutable state. Under that contract Map(n, w, fn) returns the same
-// slice for every w, and the only observable effect of Workers is
+// shared mutable state. Under that contract MapWith returns the same slice
+// for every worker count, and the only observable effect of Workers is
 // wall-clock time.
 //
 // Flight is the package's other primitive: a singleflight that lets
@@ -37,28 +37,24 @@ func Workers(workers, n int) int {
 	return workers
 }
 
-// Map runs fn(i) for every i in [0, n) on at most workers goroutines
+// MapWith runs fn(i) for every i in [0, n) on at most workers goroutines
 // (workers <= 0 means GOMAXPROCS) and returns the results in index order.
 // With workers == 1 it degenerates to a plain serial loop on the calling
 // goroutine — no goroutines, no synchronization — so the serial path stays
 // exactly the pre-engine code shape.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	return MapWith(n, workers,
-		func() struct{} { return struct{}{} },
-		func(i int, _ struct{}) T { return fn(i) })
-}
-
-// MapWith is Map with a per-worker scratch slot: newScratch runs once per
-// worker goroutine (once total on the serial path), and fn receives that
-// worker's scratch alongside the index. This is how per-episode buffer
-// reuse composes with parallelism — workers × scratch instead of items ×
-// scratch — without any locking on the hot path.
+//
+// Each worker also gets a scratch slot: newScratch runs once per worker
+// goroutine (once total on the serial path), and fn receives that worker's
+// scratch alongside the index. This is how per-episode buffer reuse
+// composes with parallelism — workers × scratch instead of items × scratch
+// — without any locking on the hot path. Callers with nothing to reuse
+// pass a scratch of struct{}.
 //
 // The determinism contract extends to scratch: fn must fully reset every
 // scratch field it reads before using it, so which worker (and therefore
 // which scratch instance) serves an index cannot influence the result.
 // Under that contract MapWith(n, w, ...) returns the same slice for every
-// w, exactly like Map.
+// w.
 func MapWith[T, S any](n, workers int, newScratch func() S, fn func(i int, scratch S) T) []T {
 	if n <= 0 {
 		return nil
@@ -118,10 +114,10 @@ func MapWith[T, S any](n, workers int, newScratch func() S, fn func(i int, scrat
 }
 
 // Split divides a workers budget between an outer fan-out of n jobs and the
-// nested fan-out inside each job, so two stacked Map calls stay within the
-// budget instead of multiplying to workers^2: outer*inner <= workers, with
-// the outer level saturated first (grid points are the coarser, better-
-// balanced unit of work).
+// nested fan-out inside each job, so two stacked MapWith calls stay within
+// the budget instead of multiplying to workers^2: outer*inner <= workers,
+// with the outer level saturated first (grid points are the coarser,
+// better-balanced unit of work).
 func Split(workers, n int) (outer, inner int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -138,20 +134,4 @@ func Split(workers, n int) (outer, inner int) {
 		inner = 1
 	}
 	return outer, inner
-}
-
-// FlatMap runs fn(i) for every i in [0, n) in parallel and concatenates the
-// resulting slices in index order — the shape of the sweep helpers, where
-// one grid job emits several output rows.
-func FlatMap[T any](n, workers int, fn func(i int) []T) []T {
-	chunks := Map(n, workers, fn)
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	out := make([]T, 0, total)
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
-	return out
 }

@@ -23,9 +23,12 @@ func TestWorkersNormalization(t *testing.T) {
 	}
 }
 
+// noScratch is the scratch factory of callers with nothing to reuse.
+func noScratch() struct{} { return struct{}{} }
+
 func TestMapOrdered(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 0} {
-		got := Map(100, workers, func(i int) int { return i * i })
+		got := MapWith(100, workers, noScratch, func(i int, _ struct{}) int { return i * i })
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
@@ -35,8 +38,8 @@ func TestMapOrdered(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	if got := Map(0, 4, func(i int) int { return i }); got != nil {
-		t.Fatalf("Map(0, ...) = %v, want nil", got)
+	if got := MapWith(0, 4, noScratch, func(i int, _ struct{}) int { return i }); got != nil {
+		t.Fatalf("MapWith(0, ...) = %v, want nil", got)
 	}
 }
 
@@ -46,7 +49,7 @@ func TestMapBoundedFanOut(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int64
 	var mu sync.Mutex
-	Map(64, workers, func(i int) int {
+	MapWith(64, workers, noScratch, func(i int, _ struct{}) int {
 		cur := inFlight.Add(1)
 		mu.Lock()
 		if cur > peak.Load() {
@@ -92,28 +95,14 @@ func TestSplitStaysWithinBudget(t *testing.T) {
 	}
 }
 
-func TestFlatMapOrderAndContent(t *testing.T) {
-	got := FlatMap(10, 4, func(i int) []int { return []int{i * 10, i*10 + 1} })
-	want := 20
-	if len(got) != want {
-		t.Fatalf("len = %d, want %d", len(got), want)
-	}
-	for i, v := range got {
-		exp := (i/2)*10 + i%2
-		if v != exp {
-			t.Fatalf("out[%d] = %d, want %d", i, v, exp)
-		}
-	}
-}
-
 // TestMapPropagatesWorkerPanic: a panic inside fn on a pool worker reaches
-// Map's caller (where a serving daemon's per-job recover can handle it)
+// MapWith's caller (where a serving daemon's per-job recover can handle it)
 // instead of killing the process, and the pool still drains cleanly.
 func TestMapPropagatesWorkerPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		got := func() (r any) {
 			defer func() { r = recover() }()
-			Map(16, workers, func(i int) int {
+			MapWith(16, workers, noScratch, func(i int, _ struct{}) int {
 				if i == 5 {
 					panic("boom")
 				}
