@@ -71,7 +71,6 @@ func main() {
 	logFormat := flag.String("log-format", "text", "structured log format on stderr: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 	workersListen := flag.String("workers-listen", "", "serve the pool membership API (GET/POST/DELETE /v1/workers) on this address during the run")
-	noProbation := flag.Bool("no-probation", false, "retire a failed worker immediately instead of probing it for readmission")
 	probeAttempts := flag.Int("probe-attempts", 0, "health probes before a failed worker is retired (0 = 6)")
 	probeSuccesses := flag.Int("probe-successes", 0, "consecutive probe successes before readmission (0 = 2)")
 	probeBase := flag.Duration("probe-base", 0, "first probe backoff delay, doubled per failure (0 = 250ms)")
@@ -113,6 +112,28 @@ func main() {
 		costs = registry.NewCostTable()
 	}
 
+	var urls []string
+	if *workerList != "" {
+		urls = strings.Split(*workerList, ",")
+	}
+	if *local == 0 && len(urls) == 0 {
+		*local = 1
+	}
+	numShards := *shards
+	if numShards <= 0 {
+		numShards = 2 * (len(urls) + *local)
+	}
+
+	// One recorder is shared by the coordinator and every runner, so the
+	// whole fleet — dispatch, retries, merges, worker compute pulled back
+	// over HTTP — lands in a single stitched timeline. The trace ID is
+	// derived from the plan identity, so a replayed run traces identically.
+	names := make([]string, len(selection))
+	for i, d := range selection {
+		names[i] = d.Name
+	}
+	rec := trace.NewRecorder(dispatch.FleetTraceID(names, *trials, *seed, numShards), "coordinator")
+
 	var runners []dispatch.Runner
 	stage := "" // staging root for pulled entries; removed before every exit
 	cleanup := func() {
@@ -129,6 +150,7 @@ func main() {
 			StageDir:       filepath.Join(stage, stageName),
 			Local:          l.Store,
 			Prewarm:        *prewarm,
+			Trace:          rec,
 			Costs:          costs,
 			RequestTimeout: *requestTimeout,
 			MaxRetries:     *requestRetries,
@@ -157,41 +179,14 @@ func main() {
 		}
 		defer cleanup()
 	}
-	if *workerList != "" {
-		for i, url := range strings.Split(*workerList, ",") {
-			runners = append(runners, newHTTPRunner(url, fmt.Sprintf("worker-%d", i)))
-		}
-	}
-	if *local == 0 && len(runners) == 0 {
-		*local = 1
+	for i, url := range urls {
+		runners = append(runners, newHTTPRunner(url, fmt.Sprintf("worker-%d", i)))
 	}
 	for i := 0; i < *local; i++ {
 		runners = append(runners, &dispatch.LocalRunner{
 			Env: l.Env, Workers: *localWorkers, Name: fmt.Sprintf("local-%d", i+1),
-			Costs: costs,
+			Trace: rec, Costs: costs,
 		})
-	}
-	numShards := *shards
-	if numShards <= 0 {
-		numShards = 2 * len(runners)
-	}
-
-	// One recorder is shared by the coordinator and every runner, so the
-	// whole fleet — dispatch, retries, merges, worker compute pulled back
-	// over HTTP — lands in a single stitched timeline. The trace ID is
-	// derived from the plan identity, so a replayed run traces identically.
-	names := make([]string, len(selection))
-	for i, d := range selection {
-		names[i] = d.Name
-	}
-	rec := trace.NewRecorder(dispatch.FleetTraceID(names, *trials, *seed, numShards), "coordinator")
-	for _, r := range runners {
-		switch rr := r.(type) {
-		case *dispatch.HTTPRunner:
-			rr.Trace = rec
-		case *dispatch.LocalRunner:
-			rr.Trace = rec
-		}
 	}
 
 	if *planOnly {
@@ -224,7 +219,6 @@ func main() {
 		Logger:  logger,
 		Costs:   costs,
 		Health: dispatch.HealthConfig{
-			Disabled:  *noProbation,
 			MaxProbes: *probeAttempts,
 			Successes: *probeSuccesses,
 			BaseDelay: *probeBase,
@@ -241,9 +235,7 @@ func main() {
 			os.Exit(2)
 		}
 		srv := &http.Server{Handler: coord.WorkersHandler(func(url string) (dispatch.Runner, error) {
-			r := newHTTPRunner(url, fmt.Sprintf("joined-%d", joined.Add(1)))
-			r.Trace = rec
-			return r, nil
+			return newHTTPRunner(url, fmt.Sprintf("joined-%d", joined.Add(1))), nil
 		})}
 		go func() {
 			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {

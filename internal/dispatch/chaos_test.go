@@ -13,6 +13,9 @@ import (
 
 	"github.com/embodiedai/create/internal/cache"
 	"github.com/embodiedai/create/internal/experiments"
+	"github.com/embodiedai/create/internal/obs"
+	"github.com/embodiedai/create/internal/obs/trace"
+	"github.com/embodiedai/create/internal/registry"
 )
 
 // chaosWorker boots a real create-serve worker behind a scripted chaos
@@ -253,6 +256,95 @@ func TestHTTPRunnerRetriesTransientErrors(t *testing.T) {
 	}
 	if permHits.Load() != 1 {
 		t.Fatalf("server saw %d requests for a permanent error, want exactly 1 (no retry)", permHits.Load())
+	}
+}
+
+// TestHTTPRunnerPerCallRetryPolicy pins which worker calls retry. Against
+// a worker that answers 503 + Retry-After: 0 once and then succeeds, the
+// job submission (do) and the export pull retry once: 2 requests, and the
+// call succeeds. The health probe and the timing and trace pulls make
+// exactly 1 request, stay best-effort (no cost observed, no span
+// imported), and land on the next call. TestChaosSelfHealing's request
+// arithmetic ("drop:6" = 3 submission attempts + 3 probes) rests on this.
+func TestHTTPRunnerPerCallRetryPolicy(t *testing.T) {
+	timing, err := json.Marshal(obs.JobTiming{Experiment: "fig19", ComputedPoints: 4, ComputeSeconds: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans bytes.Buffer
+	if err := trace.WriteNDJSON(&spans, []trace.Span{{
+		TraceID: "t", SpanID: "s", Name: "compute", Start: time.Unix(1, 0), End: time.Unix(2, 0),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cases := []struct {
+		name string
+		want int64 // requests one call makes against the 503-once worker
+		call func(r *HTTPRunner) error
+		// landed reports whether the call's result arrived.
+		landed func(r *HTTPRunner, err error) bool
+	}{
+		{"do", 2, func(r *HTTPRunner) error {
+			var st map[string]any
+			return r.do(ctx, http.MethodPost, "/v1/jobs", []byte(`{}`), &st)
+		}, func(_ *HTTPRunner, err error) bool { return err == nil }},
+		{"pull", 2, func(r *HTTPRunner) error {
+			stage, err := cache.New("")
+			if err != nil {
+				return err
+			}
+			return r.pull(ctx, []string{"k"}, stage)
+		}, func(_ *HTTPRunner, err error) bool { return err == nil }},
+		{"CheckHealth", 1, func(r *HTTPRunner) error { return r.CheckHealth(ctx) },
+			func(_ *HTTPRunner, err error) bool { return err == nil }},
+		{"harvestJobCost", 1, func(r *HTTPRunner) error { r.harvestJobCost(ctx, "j"); return nil },
+			func(r *HTTPRunner, _ error) bool { return len(r.Costs.Experiments()) > 0 }},
+		{"importJobTrace", 1, func(r *HTTPRunner) error { r.importJobTrace(ctx, "j"); return nil },
+			func(r *HTTPRunner, _ error) bool { return len(r.Trace.Spans()) > 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var hits atomic.Int64
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				if hits.Add(1) == 1 {
+					w.Header().Set("Retry-After", "0")
+					http.Error(w, "busy", http.StatusServiceUnavailable)
+					return
+				}
+				switch req.URL.Path {
+				case "/v1/jobs/j/timing":
+					_, _ = w.Write(timing)
+				case "/v1/jobs/j/trace":
+					_, _ = w.Write(spans.Bytes())
+				case "/v1/cache/export":
+					// An empty export stream: no entries, no error.
+				default:
+					_, _ = w.Write([]byte(`{"ok":true}`))
+				}
+			}))
+			defer ts.Close()
+			r := &HTTPRunner{
+				BaseURL: ts.URL, RetryBaseDelay: time.Millisecond,
+				Costs: registry.NewCostTable(), Trace: trace.NewRecorder("t", "coordinator"),
+			}
+			err := tc.call(r)
+			if got := hits.Load(); got != tc.want {
+				t.Fatalf("one call made %d requests, want %d", got, tc.want)
+			}
+			if retried := tc.want > 1; tc.landed(r, err) != retried {
+				t.Fatalf("after the 503: landed=%v (err %v), want %v", !retried, err, retried)
+			}
+			if tc.want > 1 {
+				return
+			}
+			// The single attempt was a well-formed request: the next call,
+			// against the now-healthy worker, lands.
+			err = tc.call(r)
+			if hits.Load() != 2 || !tc.landed(r, err) {
+				t.Fatalf("second call: %d requests, landed=%v (err %v), want 2 and true", hits.Load(), tc.landed(r, err), err)
+			}
+		})
 	}
 }
 

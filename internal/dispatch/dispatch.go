@@ -219,6 +219,10 @@ func RenderPlans(w io.Writer, env *experiments.Env, opt experiments.Options, sel
 // ---------------------------------------------------------------------------
 // Coordinator: fan-out, retry, at-most-once merge, replay.
 
+// maxShardAttempts bounds how many times one shard may fail before the
+// whole run fails.
+const maxShardAttempts = 3
+
 // Coordinator fans a plan's shards out over a pool of Runners and
 // reassembles the results into Env's cache. Env.Cache and Store must be
 // the same store; when any runner stages entries in directories (the HTTP
@@ -227,13 +231,11 @@ func RenderPlans(w io.Writer, env *experiments.Env, opt experiments.Options, sel
 type Coordinator struct {
 	Env   *experiments.Env
 	Store *cache.Store
-	// Runners is the worker pool. A runner whose RunShard fails is retired
-	// for the rest of the run (worker loss); its shard is re-queued to a
-	// healthy runner.
+	// Runners is the worker pool. A runner whose RunShard fails goes to
+	// probation (Health) or, when it cannot be probed, is retired; either
+	// way its shard is re-queued to a healthy runner, and a shard that
+	// fails maxShardAttempts times fails the run.
 	Runners []Runner
-	// MaxAttempts bounds how many times one shard may fail before the whole
-	// run fails (default 3).
-	MaxAttempts int
 	// Metrics receives the create_dispatch_* instrument families (shard
 	// dispatch/retry/merge counters, worker health gauge). nil lazily
 	// allocates a private registry, so accounting is always on; inject a
@@ -257,9 +259,8 @@ type Coordinator struct {
 	Costs *registry.CostTable
 	// Health governs what happens to a runner after a shard failure:
 	// probeable runners enter probation and are health-checked back into
-	// the pool instead of being retired outright. The zero value enables
-	// probation with defaults; set Disabled for the legacy
-	// retire-on-first-failure policy.
+	// the pool instead of being retired outright. The zero value is the
+	// default probe schedule.
 	Health HealthConfig
 
 	mu       sync.Mutex
@@ -370,13 +371,6 @@ func (c *Coordinator) Run(ctx context.Context, w io.Writer, sel []registry.Descr
 // run only fails for lack of workers once every member is retired with
 // its probation exhausted.
 func (c *Coordinator) Execute(ctx context.Context, plan ShardPlan) error {
-	if len(c.Runners) == 0 {
-		return fmt.Errorf("coordinator has no runners")
-	}
-	maxAttempts := c.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
 	health := c.Health.withDefaults()
 	if err := c.startPool(); err != nil {
 		return err
@@ -391,7 +385,6 @@ func (c *Coordinator) Execute(ctx context.Context, plan ShardPlan) error {
 		cancelProbes()
 		probeWG.Wait()
 	}()
-	c.healthyWorkers().Set(int64(len(c.Runners)))
 	rec := c.ensureTrace(plan)
 	root := c.rootSpanID() // "" when Execute is driven without Run: dispatch spans become top-level
 
@@ -539,7 +532,7 @@ func (c *Coordinator) Execute(ctx context.Context, plan ShardPlan) error {
 				"shard", w.Selector, "worker", label,
 				"attempt", attempts[res.shard], "error", res.err.Error())
 			c.handleFailure(res.member, health, rec, probeCtx, &probeWG)
-			if attempts[res.shard] >= maxAttempts {
+			if attempts[res.shard] >= maxShardAttempts {
 				return fmt.Errorf("shard %s failed %d times, last on %s: %w",
 					w.Selector, attempts[res.shard], label, res.err)
 			}

@@ -220,11 +220,10 @@ func flakyWorker(t *testing.T) (string, *atomic.Int64) {
 	return ts.URL, &submissions
 }
 
-// TestCoordinatorWorkerLossRequeues: with probation disabled (the legacy
-// policy), a worker killed mid-shard does not fail the job — its shard is
-// re-queued to the surviving worker, the dead worker is retired
-// immediately, and the merged output still byte-matches the single-node
-// run.
+// TestCoordinatorWorkerLossRequeues: a worker killed mid-shard does not
+// fail the job — its shard is re-queued to the surviving worker, the dead
+// worker (whose health probes all fail) is retired, and the merged output
+// still byte-matches the single-node run.
 func TestCoordinatorWorkerLossRequeues(t *testing.T) {
 	opt := testOptions()
 	sel := selection(t, "fig19")
@@ -245,7 +244,7 @@ func TestCoordinatorWorkerLossRequeues(t *testing.T) {
 			&HTTPRunner{BaseURL: healthy, StageDir: t.TempDir(), RetryBaseDelay: time.Millisecond},
 			&HTTPRunner{BaseURL: dead, StageDir: t.TempDir(), RetryBaseDelay: time.Millisecond},
 		},
-		Health: HealthConfig{Disabled: true},
+		Health: fastHealth(),
 	}
 	var out bytes.Buffer
 	if _, err := coord.Run(context.Background(), &out, sel, opt, 3, false); err != nil {

@@ -39,10 +39,10 @@ func (c *Coordinator) countRetry(worker string) {
 }
 
 // countRetired accounts a runner leaving the pool for good: probation
-// exhausted, or health probing disabled/unsupported for it.
+// exhausted, or the runner is not probeable.
 func (c *Coordinator) countRetired() {
 	c.reg().Counter("create_dispatch_workers_retired_total",
-		"Runners retired from the pool: probation exhausted, or probing disabled/unsupported.").Inc()
+		"Runners retired from the pool: probation exhausted, or runner not probeable.").Inc()
 }
 
 // countProbe accounts one probation health check, outcome "ok" or "fail".

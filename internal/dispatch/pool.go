@@ -28,12 +28,10 @@ type HealthChecker interface {
 // a shard. Instead of being retired outright, a probeable runner enters
 // probation and is health-checked with capped exponential backoff; enough
 // consecutive successes readmit it to the pool, exhausting the probe
-// budget retires it for good. The zero value enables probation with the
+// budget retires it for good. Runners that cannot be probed, and members
+// already draining, retire on their first failure. The zero value is the
 // defaults below.
 type HealthConfig struct {
-	// Disabled reverts to the legacy policy: any shard failure retires the
-	// runner immediately, no probes.
-	Disabled bool
 	// MaxProbes bounds the total health checks spent on one probation
 	// episode (default 6).
 	MaxProbes int
@@ -44,12 +42,10 @@ type HealthConfig struct {
 	// 250ms); MaxDelay caps it (default 5s).
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// ProbeTimeout bounds each individual health check (default 2s).
-	ProbeTimeout time.Duration
-	// Seed varies the deterministic probe jitter between coordinator
-	// processes; a fixed seed reproduces the exact probe schedule.
-	Seed int64
 }
+
+// probeTimeout bounds each individual health check.
+const probeTimeout = 2 * time.Second
 
 func (h HealthConfig) withDefaults() HealthConfig {
 	if h.MaxProbes <= 0 {
@@ -63,9 +59,6 @@ func (h HealthConfig) withDefaults() HealthConfig {
 	}
 	if h.MaxDelay <= 0 {
 		h.MaxDelay = 5 * time.Second
-	}
-	if h.ProbeTimeout <= 0 {
-		h.ProbeTimeout = 2 * time.Second
 	}
 	return h
 }
@@ -116,12 +109,19 @@ type WorkerInfo struct {
 	Draining bool   `json:"draining,omitempty"`
 }
 
-// startPool snapshots c.Runners into the live member pool for one Execute.
+// startPool snapshots c.Runners into the live member pool for one Execute
+// and sets the healthy gauge to its size. Both happen under poolMu, so a
+// concurrent AddRunner lands either in the snapshot or as a late join that
+// counts itself. (Taking mu under poolMu is safe: nothing holding mu takes
+// poolMu.)
 func (c *Coordinator) startPool() error {
 	c.poolMu.Lock()
 	defer c.poolMu.Unlock()
 	if c.poolOn {
 		return fmt.Errorf("coordinator is already executing a plan")
+	}
+	if len(c.Runners) == 0 {
+		return fmt.Errorf("coordinator has no runners")
 	}
 	c.pool = make([]*member, 0, len(c.Runners))
 	for _, r := range c.Runners {
@@ -131,6 +131,7 @@ func (c *Coordinator) startPool() error {
 		c.wake = make(chan struct{}, 1)
 	}
 	c.poolOn = true
+	c.healthyWorkers().Set(int64(len(c.pool)))
 	return nil
 }
 
@@ -211,13 +212,13 @@ func (c *Coordinator) poolHope() (idle, probation int) {
 }
 
 // handleFailure decides a failed member's fate: probation with a probe
-// goroutine when the runner is probeable and probation is enabled,
-// immediate retirement otherwise (the legacy policy).
+// goroutine when the runner is probeable, immediate retirement when it is
+// not (LocalRunner) or was already draining.
 func (c *Coordinator) handleFailure(m *member, health HealthConfig, rec *trace.Recorder, probeCtx context.Context, probeWG *sync.WaitGroup) {
 	hc, probeable := m.runner.(HealthChecker)
 	label := m.runner.Label()
 	c.poolMu.Lock()
-	if health.Disabled || !probeable || m.drain {
+	if !probeable || m.drain {
 		m.state = memberRetired
 		c.poolMu.Unlock()
 		c.healthyWorkers().Add(-1)
@@ -249,11 +250,11 @@ func (c *Coordinator) probeMember(ctx context.Context, m *member, hc HealthCheck
 	readmitted := false
 	var lastErr error
 	for probes < health.MaxProbes {
-		if !sleepCtx(ctx, probeBackoff(health.BaseDelay, health.MaxDelay, health.Seed, label, fails)) {
+		if !sleepCtx(ctx, probeBackoff(health.BaseDelay, health.MaxDelay, label, fails)) {
 			break
 		}
 		probes++
-		pctx, cancel := context.WithTimeout(ctx, health.ProbeTimeout)
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		err := hc.CheckHealth(pctx)
 		cancel()
 		if err != nil {
@@ -320,9 +321,9 @@ func (c *Coordinator) probeMember(ctx context.Context, m *member, hc HealthCheck
 
 // probeBackoff is the delay before the next probe given `fails`
 // consecutive failures: base doubled per failure, capped at max, with
-// deterministic jitter in [d/2, d) from an FNV-1a hash of (seed, key,
-// fails) — reproducible given the config, and no global math/rand state.
-func probeBackoff(base, max time.Duration, seed int64, key string, fails int) time.Duration {
+// deterministic jitter in [d/2, d) from an FNV-1a hash of (key, fails) —
+// reproducible given the config, and no global math/rand state.
+func probeBackoff(base, max time.Duration, key string, fails int) time.Duration {
 	if base <= 0 {
 		return 0
 	}
@@ -334,7 +335,7 @@ func probeBackoff(base, max time.Duration, seed int64, key string, fails int) ti
 		d = max
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d", seed, key, fails)
+	fmt.Fprintf(h, "%s|%d", key, fails)
 	frac := time.Duration(h.Sum64() & 1023)
 	return d/2 + d/2*frac/1024
 }

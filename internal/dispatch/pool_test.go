@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -24,7 +25,6 @@ func fastHealth() HealthConfig {
 	return HealthConfig{
 		MaxProbes: 8, Successes: 2,
 		BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond,
-		ProbeTimeout: time.Second,
 	}
 }
 
@@ -437,8 +437,8 @@ func TestProbeBackoffDeterministic(t *testing.T) {
 	base, maxDelay := 250*time.Millisecond, 5*time.Second
 	expected := base
 	for fails := 0; fails < 12; fails++ {
-		d1 := probeBackoff(base, maxDelay, 7, "http://w1", fails)
-		d2 := probeBackoff(base, maxDelay, 7, "http://w1", fails)
+		d1 := probeBackoff(base, maxDelay, "http://w1", fails)
+		d2 := probeBackoff(base, maxDelay, "http://w1", fails)
 		if d1 != d2 {
 			t.Fatalf("fails=%d: backoff not deterministic (%v vs %v)", fails, d1, d2)
 		}
@@ -455,9 +455,62 @@ func TestProbeBackoffDeterministic(t *testing.T) {
 	// Jitter actually spreads workers: not every key lands on one value.
 	seen := map[time.Duration]bool{}
 	for _, key := range []string{"w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7"} {
-		seen[probeBackoff(base, maxDelay, 7, key, 0)] = true
+		seen[probeBackoff(base, maxDelay, key, 0)] = true
 	}
 	if len(seen) < 2 {
 		t.Fatal("probe jitter collapsed every worker onto one delay")
+	}
+}
+
+// nopRunner succeeds at every shard with nothing staged.
+type nopRunner string
+
+func (r nopRunner) Label() string { return string(r) }
+
+func (nopRunner) RunShard(context.Context, ShardPlan, int) (string, error) { return "", nil }
+
+// TestAddRunnerRacingExecute: joins that race Execute's startup — a
+// -workers-listen POST during a coordinator's first instants — land either
+// in the pool snapshot or as late joins, never both and never neither, so
+// the healthy gauge ends equal to the live member count. Run under -race:
+// Execute must read Runners only under the pool lock.
+func TestAddRunnerRacingExecute(t *testing.T) {
+	gate := make(chan struct{})
+	coord := &Coordinator{Runners: []Runner{&gateRunner{nopRunner("w0"), gate}}}
+	plan := ShardPlan{NumShards: 4}
+	for k := 0; k < plan.NumShards; k++ {
+		plan.Shards = append(plan.Shards, ShardWork{Index: k, Selector: fmt.Sprintf("%d/%d", k+1, plan.NumShards), ToCompute: 1})
+	}
+	const joins = 8
+	var wg sync.WaitGroup
+	for i := 1; i <= joins; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := coord.AddRunner(&gateRunner{nopRunner(fmt.Sprintf("w%d", i)), gate}); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	done := make(chan error, 1)
+	go func() { done <- coord.Execute(context.Background(), plan) }()
+	// Every dispatched shard blocks on the gate, so Execute is still running
+	// (or has not started) while the joins land.
+	wg.Wait()
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	for _, w := range coord.Workers() {
+		if w.State == memberIdle.String() {
+			live++
+		}
+	}
+	if live != joins+1 {
+		t.Fatalf("pool has %d live members, want %d", live, joins+1)
+	}
+	if got := coord.Metrics.Gauge("create_dispatch_workers_healthy", "").Value(); got != int64(live) {
+		t.Fatalf("create_dispatch_workers_healthy = %d, want the %d live members", got, live)
 	}
 }

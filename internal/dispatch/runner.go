@@ -250,26 +250,12 @@ func (r *HTTPRunner) stallTimeout() time.Duration {
 }
 
 // CheckHealth implements HealthChecker: one GET /v1/healthz under the
-// request timeout. Any 2xx means the worker is serving again — the
-// endpoint reports queue depth, in-flight jobs, and cache stats, but for
-// readmission reachability is the signal.
+// request timeout, never retried (the probe loop is the retry). Any 2xx
+// means the worker is serving again — the endpoint reports queue depth,
+// in-flight jobs, and cache stats, but for readmission reachability is the
+// signal.
 func (r *HTTPRunner) CheckHealth(ctx context.Context) error {
-	rctx, cancel := context.WithTimeout(ctx, r.requestTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, r.BaseURL+"/v1/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.client().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return fmt.Errorf("healthz returned %d", resp.StatusCode)
-	}
-	return nil
+	return r.send(ctx, r.requestTimeout(), http.MethodGet, "/v1/healthz", nil, nil)
 }
 
 func (r *HTTPRunner) RunShard(ctx context.Context, plan ShardPlan, shard int) (string, error) {
@@ -370,64 +356,35 @@ func (r *HTTPRunner) runJob(ctx context.Context, plan ShardPlan, w ShardWork, jo
 }
 
 // harvestJobCost pulls a finished job's timing record and folds its
-// measured per-point compute cost into the shared cost table. Best-effort:
-// a worker that cannot serve its timing costs schedule quality, not
-// correctness.
+// measured per-point compute cost into the shared cost table. Best-effort
+// and single-attempt: a worker that cannot serve its timing costs schedule
+// quality, not correctness.
 func (r *HTTPRunner) harvestJobCost(ctx context.Context, id string) {
 	if r.Costs == nil {
 		return
 	}
-	ctx, cancel := context.WithTimeout(ctx, r.requestTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.BaseURL+"/v1/jobs/"+id+"/timing", nil)
-	if err != nil {
-		return
-	}
-	if sc, ok := spanFrom(ctx); ok {
-		req.Header.Set("traceparent", sc.Traceparent())
-	}
-	resp, err := r.client().Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
 	var rec obs.JobTiming
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&rec); err != nil {
-		return
+	if r.send(ctx, r.requestTimeout(), http.MethodGet, "/v1/jobs/"+id+"/timing", nil, func(body io.Reader) error {
+		return json.NewDecoder(io.LimitReader(body, 1<<20)).Decode(&rec)
+	}) == nil {
+		r.Costs.Observe(rec.Experiment, rec.ComputedPoints, rec.ComputeSeconds)
 	}
-	r.Costs.Observe(rec.Experiment, rec.ComputedPoints, rec.ComputeSeconds)
 }
 
 // importJobTrace pulls a finished job's worker-side spans into the
 // shared fleet recorder, rewriting their node to this worker's label so
-// the stitched timeline shows which worker ran them. Best-effort: a
-// worker that cannot serve its trace costs visibility, not correctness.
+// the stitched timeline shows which worker ran them. Best-effort and
+// single-attempt: a worker that cannot serve its trace costs visibility,
+// not correctness.
 func (r *HTTPRunner) importJobTrace(ctx context.Context, id string) {
 	if r.Trace == nil {
 		return
 	}
-	ctx, cancel := context.WithTimeout(ctx, r.requestTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.BaseURL+"/v1/jobs/"+id+"/trace", nil)
-	if err != nil {
-		return
-	}
-	if sc, ok := spanFrom(ctx); ok {
-		req.Header.Set("traceparent", sc.Traceparent())
-	}
-	resp, err := r.client().Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	spans, err := trace.ReadNDJSON(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
+	var spans []trace.Span
+	if r.send(ctx, r.requestTimeout(), http.MethodGet, "/v1/jobs/"+id+"/trace", nil, func(body io.Reader) (err error) {
+		spans, err = trace.ReadNDJSON(io.LimitReader(body, 1<<20))
+		return err
+	}) != nil {
 		return
 	}
 	for i := range spans {
@@ -453,9 +410,7 @@ func (r *HTTPRunner) follow(ctx context.Context, shard int, id string) (service.
 	if err != nil {
 		return "", "", err
 	}
-	if sc, ok := spanFrom(ctx); ok {
-		req.Header.Set("traceparent", sc.Traceparent())
-	}
+	stamp(req)
 	stall := r.stallTimeout()
 	watchdog := time.AfterFunc(stall, cancel)
 	defer watchdog.Stop()
@@ -514,44 +469,86 @@ func (r *HTTPRunner) prewarm(ctx context.Context, keys []string) (int, error) {
 }
 
 // pull fetches the manifest's entries from the worker and lands them in
-// the staging store, with the same bounded retries as do(): entries are
-// content-addressed, so re-importing after a partial transfer is
-// idempotent. Keys the worker never computed (dynamic-grid supersets) are
-// simply absent from the stream.
+// the staging store, retried like do(): entries are content-addressed, so
+// re-importing after a partial transfer is idempotent. Keys the worker
+// never computed (dynamic-grid supersets) are simply absent from the
+// stream. The stall timeout, not the request timeout, bounds each
+// attempt: a full shard export can far outlast a control-plane round trip.
 func (r *HTTPRunner) pull(ctx context.Context, keys []string, stage *cache.Store) error {
 	body, err := json.Marshal(map[string]any{"keys": keys})
 	if err != nil {
 		return err
 	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		lastErr = r.pullOnce(ctx, body, stage)
-		if lastErr == nil {
+	const path = "/v1/cache/export"
+	return r.retry(ctx, path, func() error {
+		return r.send(ctx, r.stallTimeout(), http.MethodPost, path, body, func(resp io.Reader) error {
+			if _, err := stage.ImportFrom(resp); err != nil {
+				return fmt.Errorf("staging exported entries: %w", err)
+			}
 			return nil
-		}
+		})
+	})
+}
+
+// do issues one JSON request against the worker with bounded retries,
+// decoding a 2xx response into out (when non-nil). The body is a byte
+// slice — not a Reader — precisely so retries can replay it.
+func (r *HTTPRunner) do(ctx context.Context, method, path string, body []byte, out any) error {
+	return r.retry(ctx, path, func() error {
+		return r.send(ctx, r.requestTimeout(), method, path, body, func(resp io.Reader) error {
+			if out == nil {
+				return nil
+			}
+			return json.NewDecoder(resp).Decode(out)
+		})
+	})
+}
+
+// retry runs once until it succeeds, fails permanently, or has been
+// retried MaxRetries times. The wait before retry `attempt` is jittered
+// exponential backoff from the base, overridden by the worker's
+// Retry-After hint (capped at 15s so a confused worker cannot park the
+// coordinator).
+func (r *HTTPRunner) retry(ctx context.Context, path string, once func() error) error {
+	for attempt := 0; ; attempt++ {
+		err := once()
 		var re *retryableError
-		if !errors.As(lastErr, &re) || attempt >= r.maxRetries() || ctx.Err() != nil {
-			return lastErr
+		if !errors.As(err, &re) || attempt >= r.maxRetries() || ctx.Err() != nil {
+			return err
 		}
-		if !sleepCtx(ctx, r.retryDelay("/v1/cache/export", attempt, re.retryAfter)) {
-			return lastErr
+		d := probeBackoff(r.retryBase(), 2*time.Second, r.BaseURL+path, attempt)
+		if re.retryAfter > d {
+			d = min(re.retryAfter, 15*time.Second)
+		}
+		if !sleepCtx(ctx, d) {
+			return err
 		}
 	}
 }
 
-func (r *HTTPRunner) pullOnce(ctx context.Context, body []byte, stage *cache.Store) error {
-	// The stall timeout, not the request timeout, bounds the transfer: a
-	// full shard export can far outlast a control-plane round trip.
-	rctx, cancel := context.WithTimeout(ctx, r.stallTimeout())
+// send is the one way a request reaches the worker, and it makes exactly
+// one attempt: a deadline of timeout, the JSON content type when there is
+// a body, and the dispatch span from ctx as a traceparent header, so
+// worker-side jobs and logs join the fleet trace. A 2xx body goes to read
+// (nil drains it); any other status is an error carrying up to 4 KiB of
+// the worker's text. Transport errors, 429s and 5xx come back as a
+// retryableError with the worker's Retry-After hint — unless the caller
+// gave up, which is no worker fault.
+func (r *HTTPRunner) send(ctx context.Context, timeout time.Duration, method, path string, body []byte, read func(io.Reader) error) error {
+	rctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, r.BaseURL+"/v1/cache/export", bytes.NewReader(body))
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(rctx, method, r.BaseURL+path, rd)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if sc, ok := spanFrom(ctx); ok {
-		req.Header.Set("traceparent", sc.Traceparent())
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
+	stamp(req)
 	resp, err := r.client().Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -560,17 +557,27 @@ func (r *HTTPRunner) pullOnce(ctx context.Context, body []byte, stage *cache.Sto
 		return &retryableError{err: err}
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		err := fmt.Errorf("cache export returned %d", resp.StatusCode)
+	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		err := fmt.Errorf("%s %s returned %d: %s", method, path, resp.StatusCode, bytes.TrimSpace(msg))
 		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500 {
 			return &retryableError{err: err, retryAfter: retryAfterHint(resp)}
 		}
 		return err
 	}
-	if _, err := stage.ImportFrom(resp.Body); err != nil {
-		return fmt.Errorf("staging exported entries: %w", err)
+	if read == nil {
+		_, err = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		return err
 	}
-	return nil
+	return read(resp.Body)
+}
+
+// stamp propagates the dispatch span from the request's context as a
+// traceparent header.
+func stamp(req *http.Request) {
+	if sc, ok := spanFrom(req.Context()); ok {
+		req.Header.Set("traceparent", sc.Traceparent())
+	}
 }
 
 // retryableError marks a request failure worth retrying: a transport
@@ -591,79 +598,4 @@ func retryAfterHint(resp *http.Response) time.Duration {
 		return 0
 	}
 	return time.Duration(n) * time.Second
-}
-
-// retryDelay is the wait before retry `attempt`: jittered exponential
-// backoff from the base, overridden by the worker's Retry-After hint
-// (capped at 15s so a confused worker cannot park the coordinator).
-func (r *HTTPRunner) retryDelay(path string, attempt int, hint time.Duration) time.Duration {
-	d := probeBackoff(r.retryBase(), 2*time.Second, 0, r.BaseURL+path, attempt)
-	if hint > d {
-		d = min(hint, 15*time.Second)
-	}
-	return d
-}
-
-// do issues one JSON request against the worker with a per-request
-// deadline and bounded retries, decoding a 2xx response into out (when
-// non-nil) and turning everything else into an error. Every request
-// propagates the dispatch span from ctx as a traceparent header, so
-// worker-side jobs and logs join the fleet trace. The body is a byte
-// slice — not a Reader — precisely so retries can replay it.
-func (r *HTTPRunner) do(ctx context.Context, method, path string, body []byte, out any) error {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		lastErr = r.doOnce(ctx, method, path, body, out)
-		if lastErr == nil {
-			return nil
-		}
-		var re *retryableError
-		if !errors.As(lastErr, &re) || attempt >= r.maxRetries() || ctx.Err() != nil {
-			return lastErr
-		}
-		if !sleepCtx(ctx, r.retryDelay(path, attempt, re.retryAfter)) {
-			return lastErr
-		}
-	}
-}
-
-func (r *HTTPRunner) doOnce(ctx context.Context, method, path string, body []byte, out any) error {
-	rctx, cancel := context.WithTimeout(ctx, r.requestTimeout())
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(rctx, method, r.BaseURL+path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if sc, ok := spanFrom(ctx); ok {
-		req.Header.Set("traceparent", sc.Traceparent())
-	}
-	resp, err := r.client().Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			// The caller gave up; do not classify its cancellation as a
-			// worker fault worth retrying.
-			return err
-		}
-		return &retryableError{err: err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		err := fmt.Errorf("%s %s returned %d: %s", method, path, resp.StatusCode, bytes.TrimSpace(msg))
-		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500 {
-			return &retryableError{err: err, retryAfter: retryAfterHint(resp)}
-		}
-		return err
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -249,6 +250,28 @@ func TestCancelRacingResubmit(t *testing.T) {
 	s.Start()
 	defer s.Close()
 
+	// One deadline bounds every wait below; a terminal wait blocks on the
+	// job's done channel, closed when it reaches a terminal state.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	waitTerminal := func(id string) JobStatus {
+		t.Helper()
+		s.mu.Lock()
+		j, ok := s.jobs[id]
+		s.mu.Unlock()
+		if !ok {
+			t.Fatalf("job %s unknown", id)
+		}
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+			cur, _ := s.Job(id)
+			t.Fatalf("job %s never terminated (state %v)", id, cur.State)
+		}
+		cur, _ := s.Job(id)
+		return cur
+	}
+
 	for i := 0; i < 25; i++ {
 		spec := JobSpec{Experiment: "fig15", Trials: 2, Seed: seedOf(int64(i)), Tenant: "racer"}
 		st, _, err := s.Submit(spec)
@@ -273,27 +296,15 @@ func TestCancelRacingResubmit(t *testing.T) {
 		}
 		wg.Wait()
 		// Every job involved reaches a terminal state.
-		deadline := time.Now().Add(30 * time.Second)
 		for _, id := range ids {
-			if id == "" {
-				continue
-			}
-			for {
-				cur, ok := s.Job(id)
-				if ok && terminal(cur.State) {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("job %s never terminated (state %v)", id, cur.State)
-				}
-				time.Sleep(time.Millisecond)
+			if id != "" {
+				waitTerminal(id)
 			}
 		}
 	}
 
 	// Quiesce: nothing queued, nothing running, no live dedupe slots, no
 	// quota in use — then a fresh identical submission is admitted and runs.
-	deadline := time.Now().Add(30 * time.Second)
 	for {
 		s.mu.Lock()
 		live := len(s.byKey)
@@ -306,7 +317,7 @@ func TestCancelRacingResubmit(t *testing.T) {
 				break
 			}
 		}
-		if time.Now().After(deadline) {
+		if ctx.Err() != nil {
 			s.adm.mu.Lock()
 			inUse := len(s.adm.inUse)
 			s.adm.mu.Unlock()
@@ -319,15 +330,8 @@ func TestCancelRacingResubmit(t *testing.T) {
 	if err != nil || deduped {
 		t.Fatalf("post-race resubmit: deduped=%v err=%v", deduped, err)
 	}
-	for {
-		cur, _ := s.Job(st.ID)
-		if terminal(cur.State) {
-			if cur.State != StateDone && cur.State != StateCanceled {
-				t.Fatalf("post-race job ended %s: %s", cur.State, cur.Error)
-			}
-			break
-		}
-		time.Sleep(time.Millisecond)
+	if cur := waitTerminal(st.ID); cur.State != StateDone && cur.State != StateCanceled {
+		t.Fatalf("post-race job ended %s: %s", cur.State, cur.Error)
 	}
 }
 
