@@ -5,8 +5,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// and see EXPERIMENTS.md for paper-vs-measured values at full trial counts
-// (cmd/create-bench -trials 100).
+// Regenerate the figures themselves at full trial counts with
+// cmd/create-bench (-trials 100); PERFORMANCE.md records how to profile
+// and the measured numbers.
 package create
 
 import (

@@ -51,7 +51,7 @@ func main() {
 	queue := flag.Int("queue", 64, "bounded admission queue depth across all tenants; a full queue rejects submissions with 503 and a Retry-After hint")
 	tenantQuota := flag.Int("tenant-quota", 0, "cap each tenant's queued+running jobs; over-quota submissions get 429 with a Retry-After hint (0 = unlimited)")
 	finishedTTL := flag.Duration("finished-ttl", 0, "expire finished jobs this long after completion (0 = count cap only)")
-	eventKeepalive := flag.Duration("event-keepalive", 0, "keepalive cadence on idle events streams so clients can detect hung connections (0 = 10s, negative disables)")
+	eventKeepalive := flag.Duration("event-keepalive", 0, "keepalive cadence on idle events streams so clients can detect hung connections (0 = 10s)")
 	enablePprof := flag.Bool("pprof", false, "expose /debug/pprof/ profiling handlers (CPU, heap, goroutine) on the service listener")
 	logFormat := flag.String("log-format", "text", "structured log format on stderr: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")

@@ -97,7 +97,7 @@ func (r *LocalRunner) RunShard(ctx context.Context, plan ShardPlan, shard int) (
 			if r.Costs != nil {
 				jobStart = now()
 			}
-			if err := runQuietly(d, r.Env, opt); err != nil {
+			if err := experiments.Guard(d.Name, func() { d.Run(r.Env, opt) }); err != nil {
 				return err
 			}
 			if r.Costs != nil {
@@ -125,24 +125,6 @@ func (r *LocalRunner) RunShard(ctx context.Context, plan ShardPlan, shard int) (
 		})
 	}
 	return "", err
-}
-
-// runQuietly executes one experiment, converting panics — including the
-// Canceled sentinel a canceled context raises between grid points — into
-// errors, so a failing experiment retires its runner instead of killing
-// the coordinator.
-func runQuietly(d registry.Descriptor, env *experiments.Env, opt experiments.Options) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(experiments.Canceled); ok {
-				err = context.Canceled
-				return
-			}
-			err = fmt.Errorf("experiment %s panicked: %v", d.Name, r)
-		}
-	}()
-	d.Run(env, opt)
-	return nil
 }
 
 // ---------------------------------------------------------------------------

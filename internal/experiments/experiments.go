@@ -60,10 +60,29 @@ type Options struct {
 // Canceled is the panic value raised at a grid-point boundary once
 // Options.Ctx is canceled. It unwinds the sweep through the deterministic
 // engine (sim.MapWith re-raises worker panics on the caller) and is recovered
-// by the service layer, which marks the job canceled rather than failed.
+// by Guard, so the service layer marks the job canceled rather than failed.
 type Canceled struct{}
 
 func (Canceled) Error() string { return "evaluation canceled" }
+
+// Guard runs fn, converting a panic into an error so one failing
+// experiment fails its job instead of the process: the Canceled sentinel
+// becomes context.Canceled, and any other panic an error naming the
+// experiment. The serving tier and the coordinator's local runner both
+// execute experiments through it.
+func Guard(name string, fn func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(Canceled); ok {
+				err = context.Canceled
+				return
+			}
+			err = fmt.Errorf("experiment %s panicked: %v", name, r)
+		}
+	}()
+	fn()
+	return nil
+}
 
 // checkCanceled panics with Canceled once the caller's context is done.
 // Called between grid points, never inside a point's compute.

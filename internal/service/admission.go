@@ -153,15 +153,13 @@ func (a *admission) dequeue() (*job, bool) {
 		a.rr = append(a.rr[1:], tenant)
 	}
 	// The job leaves the queue but stays in the tenant's quota (it is about
-	// to run); release() settles the account when it reaches a terminal
-	// state.
+	// to run); release settles the account when it reaches a terminal state.
 	return j, true
 }
 
 // remove takes a still-queued job out of its tenant's queue (the
-// cancel-while-queued path) and releases its quota slot. false means the
-// job was already dequeued by a worker — that worker's release() settles
-// the quota instead.
+// cancel-while-queued path). false means a worker already dequeued it. The
+// job keeps its quota slot either way; release settles it.
 func (a *admission) remove(j *job) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -176,7 +174,6 @@ func (a *admission) remove(j *job) bool {
 		}
 		q.jobs = append(q.jobs[:i], q.jobs[i+1:]...)
 		a.total--
-		a.releaseLocked(tenant)
 		if len(q.jobs) == 0 {
 			delete(a.queues, tenant)
 			for k, t := range a.rr {
@@ -191,22 +188,14 @@ func (a *admission) remove(j *job) bool {
 	return false
 }
 
-// release settles a dequeued job's quota slot once it reaches a terminal
-// state (or was skipped because it got canceled between dequeue and run).
-// Called exactly once per dequeued job, by the worker that dequeued it.
+// release returns one of tenant's quota slots, dropping the tenant's
+// entry once it holds none so the map does not grow with tenant churn.
+// The job's terminal transition (Server.finish) calls it exactly once per
+// admitted job, so a count never goes negative.
 func (a *admission) release(tenant string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.releaseLocked(tenant)
-}
-
-// releaseLocked returns one of tenant's quota slots, dropping the tenant's
-// entry once it holds none so the map does not grow with tenant churn.
-// a.mu must be held.
-func (a *admission) releaseLocked(tenant string) {
-	if a.inUse[tenant] > 0 {
-		a.inUse[tenant]--
-	}
+	a.inUse[tenant]--
 	if a.inUse[tenant] == 0 {
 		delete(a.inUse, tenant)
 	}

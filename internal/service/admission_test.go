@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +16,7 @@ import (
 
 	"github.com/embodiedai/create/internal/cache"
 	"github.com/embodiedai/create/internal/experiments"
+	"github.com/embodiedai/create/internal/obs/trace"
 )
 
 // qjob builds a minimal queued job for direct admission-queue tests.
@@ -86,9 +88,9 @@ func TestAdmissionTenantQuota(t *testing.T) {
 	}
 }
 
-// TestAdmissionRemove: cancel-while-queued pulls the job and its quota
-// slot; removing an already-dequeued job reports false and leaves the
-// quota for the worker's release.
+// TestAdmissionRemove: cancel-while-queued pulls the job out of its queue
+// but leaves its quota slot to the job's terminal release; removing an
+// already-dequeued job reports false.
 func TestAdmissionRemove(t *testing.T) {
 	a := newAdmission(64, 1, 1)
 	j1 := qjob("j1", "t", 0)
@@ -101,12 +103,16 @@ func TestAdmissionRemove(t *testing.T) {
 	if a.depth() != 0 {
 		t.Fatalf("depth %d after remove", a.depth())
 	}
-	if n := len(a.inUse); n != 0 {
-		t.Fatalf("remove left %d idle tenant entries in the quota map", n)
+	// The slot stays held until the terminal transition releases it.
+	if err := a.enqueue(qjob("j2", "t", 0)); err == nil {
+		t.Fatal("remove released the quota slot; only release may")
 	}
-	// The quota slot was released with it.
+	a.release("t")
+	if n := len(a.inUse); n != 0 {
+		t.Fatalf("release left %d idle tenant entries in the quota map", n)
+	}
 	if err := a.enqueue(qjob("j2", "t", 0)); err != nil {
-		t.Fatalf("quota slot leaked by remove: %v", err)
+		t.Fatalf("quota slot leaked: %v", err)
 	}
 	j2, _ := a.dequeue()
 	if a.remove(j2) {
@@ -231,10 +237,59 @@ func TestPriorityOutOfRange(t *testing.T) {
 	env.Cache = store
 	s := New(Config{Env: env, Store: store, Workers: 1, MaxConcurrentJobs: 1})
 	defer func() { s.Start(); s.Close() }()
-	_, _, err := s.Submit(JobSpec{Experiment: "table2", Seed: seedOf(1), Priority: 101})
-	var ae *AdmissionError
-	if err == nil || errors.As(err, &ae) {
-		t.Fatalf("out-of-range priority: %v", err)
+	for _, tc := range []struct {
+		priority int
+		ok       bool
+	}{{-101, false}, {-100, true}, {100, true}, {101, false}} {
+		st, _, err := s.Submit(JobSpec{Experiment: "table2", Seed: seedOf(1), Priority: tc.priority}, trace.SpanContext{})
+		if tc.ok {
+			if err != nil {
+				t.Fatalf("in-range priority %d rejected: %v", tc.priority, err)
+			}
+			// Canceled while queued, so the drain below runs nothing.
+			if _, _, err := s.Cancel(st.ID); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		var ae *AdmissionError
+		if err == nil || errors.As(err, &ae) {
+			t.Fatalf("out-of-range priority %d: %v", tc.priority, err)
+		}
+	}
+}
+
+// TestCancelAfterDequeueSettlesQuota: a job a worker has dequeued but not
+// yet started is canceled. Its quota slot is free by the time done closes,
+// and the worker's later run of the canceled job releases nothing twice.
+func TestCancelAfterDequeueSettlesQuota(t *testing.T) {
+	s, _ := unstartedServer(t)
+	st, _, err := s.Submit(JobSpec{Experiment: "table2", Seed: seedOf(1), Tenant: "t"}, trace.SpanContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, ok := s.adm.dequeue()
+	if !ok || j.id != st.ID {
+		t.Fatalf("dequeued %v, want job %s", j, st.ID)
+	}
+	if _, changed, err := s.Cancel(st.ID); err != nil || !changed {
+		t.Fatalf("cancel: changed=%v err=%v", changed, err)
+	}
+	<-j.done
+	inUse := func() map[string]int {
+		s.adm.mu.Lock()
+		defer s.adm.mu.Unlock()
+		return maps.Clone(s.adm.inUse)
+	}
+	if got := inUse(); len(got) != 0 {
+		t.Fatalf("quota slots still held after done closed: %v", got)
+	}
+	s.run(j) // the worker's skip of the canceled job
+	if got := inUse(); len(got) != 0 {
+		t.Fatalf("quota slots after the skipped run: %v, want none", got)
+	}
+	if cur, _ := s.Job(st.ID); cur.State != StateCanceled {
+		t.Fatalf("skipped job ended %s", cur.State)
 	}
 }
 
@@ -274,7 +329,7 @@ func TestCancelRacingResubmit(t *testing.T) {
 
 	for i := 0; i < 25; i++ {
 		spec := JobSpec{Experiment: "fig15", Trials: 2, Seed: seedOf(int64(i)), Tenant: "racer"}
-		st, _, err := s.Submit(spec)
+		st, _, err := s.Submit(spec, trace.SpanContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +344,7 @@ func TestCancelRacingResubmit(t *testing.T) {
 		for k := 1; k <= 2; k++ {
 			go func(k int) {
 				defer wg.Done()
-				if st2, _, err := s.Submit(spec); err == nil {
+				if st2, _, err := s.Submit(spec, trace.SpanContext{}); err == nil {
 					ids[k] = st2.ID
 				}
 			}(k)
@@ -303,30 +358,20 @@ func TestCancelRacingResubmit(t *testing.T) {
 		}
 	}
 
-	// Quiesce: nothing queued, nothing running, no live dedupe slots, no
-	// quota in use — then a fresh identical submission is admitted and runs.
-	for {
-		s.mu.Lock()
-		live := len(s.byKey)
-		s.mu.Unlock()
-		if live == 0 && s.metrics.inflight.Value() == 0 && s.adm.depth() == 0 {
-			s.adm.mu.Lock()
-			inUse := len(s.adm.inUse)
-			s.adm.mu.Unlock()
-			if inUse == 0 {
-				break
-			}
-		}
-		if ctx.Err() != nil {
-			s.adm.mu.Lock()
-			inUse := len(s.adm.inUse)
-			s.adm.mu.Unlock()
-			t.Fatalf("state leaked after cancel/resubmit races: byKey=%d inflight=%d depth=%d inUse=%d",
-				live, s.metrics.inflight.Value(), s.adm.depth(), inUse)
-		}
-		time.Sleep(time.Millisecond)
+	// Quiesced: done closes only once a job is fully settled, so with every
+	// job terminal nothing is queued or running and no dedupe slot or quota
+	// is in use — then a fresh identical submission is admitted and runs.
+	s.mu.Lock()
+	live := len(s.byKey)
+	s.mu.Unlock()
+	s.adm.mu.Lock()
+	inUse := len(s.adm.inUse)
+	s.adm.mu.Unlock()
+	if live != 0 || s.metrics.inflight.Value() != 0 || s.adm.depth() != 0 || inUse != 0 {
+		t.Fatalf("state leaked after cancel/resubmit races: byKey=%d inflight=%d depth=%d inUse=%d",
+			live, s.metrics.inflight.Value(), s.adm.depth(), inUse)
 	}
-	st, deduped, err := s.Submit(JobSpec{Experiment: "fig15", Trials: 2, Seed: seedOf(7), Tenant: "racer"})
+	st, deduped, err := s.Submit(JobSpec{Experiment: "fig15", Trials: 2, Seed: seedOf(7), Tenant: "racer"}, trace.SpanContext{})
 	if err != nil || deduped {
 		t.Fatalf("post-race resubmit: deduped=%v err=%v", deduped, err)
 	}
@@ -347,7 +392,7 @@ func TestEventKeepalive(t *testing.T) {
 	// first event.
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	st, _, err := s.Submit(JobSpec{Experiment: "table2", Seed: seedOf(1)})
+	st, _, err := s.Submit(JobSpec{Experiment: "table2", Seed: seedOf(1)}, trace.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

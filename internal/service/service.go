@@ -193,7 +193,7 @@ type job struct {
 	dedupeJoins int
 	timing      *obs.JobTiming
 	events      []Event
-	done        chan struct{} // closed at terminal state
+	done        chan struct{} // closed by finish once the job is fully settled
 
 	// rec collects the job's spans (immutable pointer, set at submit);
 	// rootSpan is the root span ID, allocated at submit so every log line
@@ -208,12 +208,6 @@ func (j *job) appendEventLocked(state State, msg string) {
 	j.events = append(j.events, Event{
 		Seq: len(j.events), Time: now(), Job: j.id, State: state, Message: msg,
 	})
-}
-
-func (j *job) event(state State, msg string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.appendEventLocked(state, msg)
 }
 
 func (j *job) status() JobStatus {
@@ -270,8 +264,7 @@ type Config struct {
 	TenantQuota int
 	// EventKeepalive is how long an idle events stream goes before a
 	// keepalive line ({"keepalive":true}) is written, so readers can tell
-	// a long compute from a hung connection (default 10s; negative
-	// disables).
+	// a long compute from a hung connection (default 10s).
 	EventKeepalive time.Duration
 	// MaxFinishedJobs bounds how many terminal jobs (with their rendered
 	// output, typed rows and event history) stay queryable (default 256).
@@ -279,8 +272,10 @@ type Config struct {
 	// memory flat; their computed points live on in the shared cache.
 	MaxFinishedJobs int
 	// FinishedJobTTL, when positive, additionally expires terminal jobs by
-	// age: a janitor retires any job finished longer than this ago, even
-	// when the count cap has room. 0 disables age-based expiry.
+	// age, even when the count cap has room. Expiry is lazy: every job
+	// lookup, listing and job finish first forgets the jobs finished longer
+	// than this ago, so an expired job is never served. 0 disables
+	// age-based expiry.
 	FinishedJobTTL time.Duration
 	// Metrics receives the daemon's instrument families and is served at
 	// GET /metrics. nil allocates a private registry, so instrumentation
@@ -309,14 +304,13 @@ type Server struct {
 	closed   bool
 	nextID   int
 
-	adm         *admission
-	wg          sync.WaitGroup
-	janitorStop chan struct{}
+	adm *admission
+	wg  sync.WaitGroup
 }
 
 // finishedRec is one terminal job in retirement order, stamped with when
-// it terminated so the TTL janitor can expire by age without touching the
-// job's own lock.
+// it terminated so TTL expiry can go by age without touching the job's
+// own lock.
 type finishedRec struct {
 	id string
 	at time.Time
@@ -335,7 +329,7 @@ func New(cfg Config) *Server {
 	if cfg.MaxFinishedJobs <= 0 {
 		cfg.MaxFinishedJobs = 256
 	}
-	if cfg.EventKeepalive == 0 {
+	if cfg.EventKeepalive <= 0 {
 		cfg.EventKeepalive = 10 * time.Second
 	}
 	if cfg.Metrics == nil {
@@ -347,15 +341,14 @@ func New(cfg Config) *Server {
 	}
 	jobWorkers, perJob := sim.Split(cfg.Workers, cfg.MaxConcurrentJobs)
 	s := &Server{
-		cfg:         cfg,
-		jobWorkers:  jobWorkers,
-		perJob:      perJob,
-		metrics:     newServiceMetrics(cfg.Metrics),
-		log:         logger,
-		jobs:        make(map[string]*job),
-		byKey:       make(map[string]*job),
-		adm:         newAdmission(cfg.QueueDepth, cfg.TenantQuota, jobWorkers),
-		janitorStop: make(chan struct{}),
+		cfg:        cfg,
+		jobWorkers: jobWorkers,
+		perJob:     perJob,
+		metrics:    newServiceMetrics(cfg.Metrics),
+		log:        logger,
+		jobs:       make(map[string]*job),
+		byKey:      make(map[string]*job),
+		adm:        newAdmission(cfg.QueueDepth, cfg.TenantQuota, jobWorkers),
 	}
 	s.metrics.registerQueueDepth(func() float64 { return float64(s.adm.depth()) })
 	if cfg.Store != nil {
@@ -364,8 +357,7 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Start launches the job worker pool and, with a FinishedJobTTL
-// configured, the retention janitor.
+// Start launches the job worker pool.
 func (s *Server) Start() {
 	for i := 0; i < s.jobWorkers; i++ {
 		s.wg.Add(1)
@@ -375,35 +367,10 @@ func (s *Server) Start() {
 			}
 		}()
 	}
-	if ttl := s.cfg.FinishedJobTTL; ttl > 0 {
-		interval := ttl / 4
-		if interval < 10*time.Millisecond {
-			interval = 10 * time.Millisecond
-		}
-		if interval > time.Minute {
-			interval = time.Minute
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			ticker := time.NewTicker(interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-s.janitorStop:
-					return
-				case <-ticker.C:
-					s.mu.Lock()
-					s.evictFinishedLocked(now())
-					s.mu.Unlock()
-				}
-			}
-		}()
-	}
 }
 
 // Close stops accepting submissions, drains every queued and running job,
-// and waits for the pool (and janitor) to exit. Safe to call once.
+// and waits for the pool to exit. Safe to call once.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -413,15 +380,11 @@ func (s *Server) Close() {
 	s.closed = true
 	s.mu.Unlock()
 	s.adm.close()
-	close(s.janitorStop)
 	s.wg.Wait()
 }
 
 // runNext executes the next admitted job, blocking until one is available.
-// false means the queue is closed and drained — the worker exits. The
-// quota slot a dequeued job holds is released here, exactly once, whatever
-// path run takes (including the skip of a job canceled between dequeue and
-// run).
+// false means the queue is closed and drained — the worker exits.
 func (s *Server) runNext() bool {
 	j, ok := s.adm.dequeue()
 	if !ok {
@@ -429,24 +392,18 @@ func (s *Server) runNext() bool {
 	}
 	s.metrics.tenantQueue(j.spec.Tenant).Add(-1)
 	s.run(j)
-	s.adm.release(j.spec.Tenant)
 	return true
 }
 
 // Submit validates and enqueues a spec, returning the (possibly coalesced)
-// job status. The bool reports whether the spec coalesced onto a live job.
-func (s *Server) Submit(spec JobSpec) (JobStatus, bool, error) {
-	return s.SubmitTraced(spec, trace.SpanContext{})
-}
-
-// SubmitTraced is Submit with an optional remote trace parent (the
-// decoded traceparent header): when valid, the job joins the caller's
-// trace and its root span nests under the caller's span, which is how a
-// coordinator's fleet-wide timeline absorbs worker jobs. A zero parent
-// starts a fresh trace whose ID derives from the spec fingerprint and
-// the submit sequence — fully deterministic, so replayed submission
+// job status; the bool reports whether the spec coalesced onto a live job.
+// A valid parent (the decoded traceparent header) joins the caller's
+// trace, and the job's root span nests under the caller's span, which is
+// how a coordinator's fleet-wide timeline absorbs worker jobs. A zero
+// parent starts a fresh trace whose ID derives from the spec fingerprint
+// and the submit sequence — fully deterministic, so replayed submission
 // sequences yield byte-stable traces.
-func (s *Server) SubmitTraced(spec JobSpec, parent trace.SpanContext) (JobStatus, bool, error) {
+func (s *Server) Submit(spec JobSpec, parent trace.SpanContext) (JobStatus, bool, error) {
 	if spec.Trials <= 0 {
 		spec.Trials = DefaultTrials
 	}
@@ -575,13 +532,21 @@ func validateTenant(t string) error {
 
 // Job returns a job's status by id.
 func (s *Server) Job(id string) (JobStatus, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.lookup(id)
 	if !ok {
 		return JobStatus{}, false
 	}
 	return j.status(), true
+}
+
+// lookup returns a job by id. Finished jobs past the TTL are forgotten
+// first, so an expired job is never served.
+func (s *Server) lookup(id string) (*job, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.evictFinishedLocked(now())
+	j, ok := s.jobs[id]
+	return j, ok
 }
 
 // run executes one job on a pool worker.
@@ -595,7 +560,7 @@ func (s *Server) run(j *job) {
 
 	j.mu.Lock()
 	if j.state != StateQueued {
-		// Canceled while queued: already terminal and retired; nothing to run.
+		// Canceled between dequeue and run: finish has settled it already.
 		j.mu.Unlock()
 		return
 	}
@@ -604,7 +569,6 @@ func (s *Server) run(j *job) {
 	j.appendEventLocked(StateRunning, "")
 	j.mu.Unlock()
 	s.metrics.inflight.Add(1)
-	defer s.metrics.inflight.Add(-1)
 	s.log.Info("job started", j.logAttrs()...)
 
 	// Cache-aware planning before compute: the plan is surfaced in the
@@ -628,24 +592,12 @@ func (s *Server) run(j *job) {
 	var buf bytes.Buffer
 	var rows any
 	var computedAt time.Time
-	canceled := false
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(experiments.Canceled); ok {
-					canceled = true
-					err = fmt.Errorf("canceled")
-					return
-				}
-				err = fmt.Errorf("experiment panicked: %v", r)
-			}
-		}()
+	err := experiments.Guard(d.Name, func() {
 		res := d.Run(s.cfg.Env, opt)
 		computedAt = now() // grid fully computed/replayed; render next
 		res.Render(&buf)
 		rows = res.Rows
-		return nil
-	}()
+	})
 
 	var delta *CacheDelta
 	if s.cfg.Store != nil {
@@ -656,34 +608,46 @@ func (s *Server) run(j *job) {
 	}
 
 	j.mu.Lock()
-	j.finished = now()
-	j.computed = computedAt
-	j.delta = delta
+	j.computed, j.delta = computedAt, delta
 	switch {
-	case canceled:
-		j.state = StateCanceled
-		j.err = "canceled"
-		j.appendEventLocked(StateCanceled, "canceled at a grid-point boundary")
+	case errors.Is(err, context.Canceled):
+		s.finish(j, StateCanceled, "canceled", "canceled at a grid-point boundary")
 	case err != nil:
-		j.state = StateFailed
-		j.err = err.Error()
-		j.appendEventLocked(StateFailed, j.err)
+		s.finish(j, StateFailed, err.Error(), err.Error())
 	default:
-		j.state = StateDone
-		j.output = buf.Bytes()
-		j.rows = rows
+		j.output, j.rows = buf.Bytes(), rows
 		msg := fmt.Sprintf("rendered %d bytes", len(j.output))
 		if delta != nil {
 			msg += fmt.Sprintf(" (%d cache hits, %d computed)", delta.Hits, delta.Misses)
 		}
-		j.appendEventLocked(StateDone, msg)
+		s.finish(j, StateDone, "", msg)
 	}
-	state, errMsg := j.state, j.err
+}
+
+// finish is a job's one terminal transition, shared by run and the
+// cancel-while-queued path. The caller holds j.mu, has checked that the
+// job is not yet terminal, and hands the lock over. finish stamps the
+// terminal state, its event, the timing record and the span tree, then
+// settles every per-job account — the dedupe slot and retention, the
+// in-flight gauge, the tenant's quota slot — and closes done last, so a
+// closed done means the job is fully settled.
+func (s *Server) finish(j *job, state State, errMsg, eventMsg string) {
+	wasRunning := j.state == StateRunning
+	j.state, j.err = state, errMsg
+	j.finished = now()
+	j.appendEventLocked(state, eventMsg)
 	tm := j.buildTimingLocked()
 	j.buildTraceLocked()
+	delta := j.delta
 	j.mu.Unlock()
-	close(j.done)
-	j.cancel() // release the context's resources
+
+	s.mu.Lock()
+	s.retireLocked(j)
+	s.mu.Unlock()
+	if wasRunning {
+		s.metrics.inflight.Add(-1)
+	}
+	s.adm.release(j.spec.Tenant)
 
 	s.metrics.jobTerminal(j.spec.Experiment, j.spec.Tenant, state)
 	s.metrics.observeStages(tm)
@@ -699,10 +663,8 @@ func (s *Server) run(j *job) {
 	} else {
 		s.log.Info("job finished", attrs...)
 	}
-
-	s.mu.Lock()
-	s.retireLocked(j)
-	s.mu.Unlock()
+	j.cancel() // release the context's resources
+	close(j.done)
 }
 
 // buildTimingLocked assembles the flat stage-timing record from the
@@ -773,14 +735,12 @@ func (s *Server) evictFinishedLocked(now time.Time) {
 }
 
 // Cancel requests cancellation of a job. Queued jobs terminate
-// immediately (the worker skips them on dequeue); running jobs have their
-// context canceled and stop at the next grid-point boundary. The bool
-// reports whether the call changed anything — false means the job was
-// already terminal.
+// immediately (a worker that already dequeued one skips it); running jobs
+// have their context canceled and stop at the next grid-point boundary.
+// The bool reports whether the call changed anything — false means the
+// job was already terminal.
 func (s *Server) Cancel(id string) (JobStatus, bool, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.lookup(id)
 	if !ok {
 		return JobStatus{}, false, fmt.Errorf("no such job")
 	}
@@ -797,25 +757,12 @@ func (s *Server) Cancel(id string) (JobStatus, bool, error) {
 		return j.status(), true, nil
 	default: // queued
 		// Pull the job out of the admission queue while it is still there;
-		// if a worker already dequeued it, run() will observe the canceled
-		// state and skip it, and that worker settles the quota instead.
+		// if a worker already dequeued it, run sees the canceled state and
+		// skips it.
 		if s.adm.remove(j) {
 			s.metrics.tenantQueue(j.spec.Tenant).Add(-1)
 		}
-		j.state = StateCanceled
-		j.err = "canceled"
-		j.finished = now()
-		j.appendEventLocked(StateCanceled, "canceled while queued")
-		j.buildTimingLocked()
-		j.buildTraceLocked()
-		j.mu.Unlock()
-		close(j.done)
-		j.cancel()
-		s.metrics.jobTerminal(j.spec.Experiment, j.spec.Tenant, StateCanceled)
-		s.mu.Lock()
-		s.retireLocked(j)
-		s.mu.Unlock()
-		s.log.Info("job canceled while queued", j.logAttrs()...)
+		s.finish(j, StateCanceled, "canceled", "canceled while queued")
 		return j.status(), true, nil
 	}
 }
@@ -872,7 +819,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// trace (the coordinator fleet path); a missing or malformed header
 	// silently starts a fresh trace, per W3C trace-context semantics.
 	parent, _ := trace.ParseTraceparent(r.Header.Get("traceparent"))
-	st, deduped, err := s.SubmitTraced(spec, parent)
+	st, deduped, err := s.Submit(spec, parent)
 	var ae *AdmissionError
 	switch {
 	case errors.As(err, &ae):
@@ -904,6 +851,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
+	s.evictFinishedLocked(now())
 	out := make([]JobStatus, 0, len(s.order))
 	js := make([]*job, 0, len(s.order))
 	for _, id := range s.order {
@@ -917,9 +865,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*job, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
+	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "no such job")
 	}
@@ -935,8 +881,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents streams a job's progress as NDJSON: the recorded history
-// first, then live transitions until the job terminates or the client
-// disconnects.
+// first, then live transitions until the job terminates and is settled, or
+// the client disconnects.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookupJob(w, r)
 	if !ok {
@@ -970,9 +916,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if terminal {
+			<-j.done // end the stream only once finish has settled the job
 			return
 		}
-		if s.cfg.EventKeepalive > 0 && idleTicks >= keepaliveTicks {
+		if idleTicks >= keepaliveTicks {
 			idleTicks = 0
 			if _, err := io.WriteString(w, "{\"keepalive\":true}\n"); err != nil {
 				return

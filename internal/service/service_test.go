@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -15,6 +16,7 @@ import (
 	"github.com/embodiedai/create/internal/cache"
 	"github.com/embodiedai/create/internal/experiments"
 	"github.com/embodiedai/create/internal/obs"
+	"github.com/embodiedai/create/internal/obs/trace"
 	"github.com/embodiedai/create/internal/registry"
 )
 
@@ -61,27 +63,55 @@ func submit(t *testing.T, ts *httptest.Server, spec JobSpec, wantCode int) JobSt
 	return st
 }
 
+// followEvents reads a job's NDJSON events stream until an event's state
+// satisfies until, or to the stream's end when until is nil, and returns
+// the last state it read. The stream ends once the job is terminal and
+// fully settled; the client timeout bounds the whole read.
+func followEvents(t *testing.T, ts *httptest.Server, id string, until func(State) bool) State {
+	t.Helper()
+	client := &http.Client{Timeout: 3 * time.Minute}
+	resp, err := client.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var last State
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var ev Event
+		if err := dec.Decode(&ev); err != nil {
+			if !errors.Is(err, io.EOF) {
+				t.Fatalf("events stream of job %s: %v", id, err)
+			}
+			return last
+		}
+		if ev.State == "" {
+			continue // keepalive line
+		}
+		last = ev.State
+		if until != nil && until(last) {
+			return last
+		}
+	}
+}
+
+// await follows a job's events stream to its end and returns the job's
+// final status.
 func await(t *testing.T, ts *httptest.Server, id string) JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(3 * time.Minute)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if terminal(st.State) {
-			return st
-		}
-		time.Sleep(20 * time.Millisecond)
+	if last := followEvents(t, ts, id, nil); !terminal(last) {
+		t.Fatalf("events stream of job %s ended in state %q", id, last)
 	}
-	t.Fatalf("job %s did not finish", id)
-	return JobStatus{}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func fetchResult(t *testing.T, ts *httptest.Server, id string) []byte {
@@ -243,11 +273,11 @@ func TestSubmitCoalescesLiveDuplicates(t *testing.T) {
 	// No Start(): nothing drains the queue, so both submissions stay
 	// queued and the second must coalesce with the first.
 	spec := JobSpec{Experiment: "table6", Trials: 2, Seed: seedOf(7)}
-	first, deduped, err := s.Submit(spec)
+	first, deduped, err := s.Submit(spec, trace.SpanContext{})
 	if err != nil || deduped {
 		t.Fatalf("first submit: %v deduped=%v", err, deduped)
 	}
-	second, deduped, err := s.Submit(spec)
+	second, deduped, err := s.Submit(spec, trace.SpanContext{})
 	if err != nil || !deduped {
 		t.Fatalf("second submit should coalesce: %v deduped=%v", err, deduped)
 	}
@@ -255,7 +285,7 @@ func TestSubmitCoalescesLiveDuplicates(t *testing.T) {
 		t.Fatalf("coalesced submission got a fresh job: %s vs %s", first.ID, second.ID)
 	}
 	// A different spec is its own job.
-	other, deduped, err := s.Submit(JobSpec{Experiment: "table6", Trials: 3, Seed: seedOf(7)})
+	other, deduped, err := s.Submit(JobSpec{Experiment: "table6", Trials: 3, Seed: seedOf(7)}, trace.SpanContext{})
 	if err != nil || deduped || other.ID == first.ID {
 		t.Fatalf("distinct spec coalesced: %v %v %s", err, deduped, other.ID)
 	}
@@ -333,14 +363,14 @@ func TestSubmitValidation(t *testing.T) {
 	// An unseeded spec resolves to the CLI defaults — the byte-identity
 	// contract with an unqualified create-bench run — while an explicit
 	// seed 0 stays a distinct, honoured seed.
-	defaulted, _, err := s.Submit(JobSpec{Experiment: "table2"})
+	defaulted, _, err := s.Submit(JobSpec{Experiment: "table2"}, trace.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if defaulted.Spec.Trials != DefaultTrials || defaulted.Spec.Seed == nil || *defaulted.Spec.Seed != DefaultSeed {
 		t.Fatalf("unseeded spec not normalized to the CLI defaults: %+v", defaulted.Spec)
 	}
-	zeroSeed, zeroDeduped, err := s.Submit(JobSpec{Experiment: "table2", Seed: seedOf(0)})
+	zeroSeed, zeroDeduped, err := s.Submit(JobSpec{Experiment: "table2", Seed: seedOf(0)}, trace.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,20 +378,20 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatalf("explicit seed 0 collapsed into the default: %+v", zeroSeed)
 	}
 
-	if _, _, err := s.Submit(JobSpec{Experiment: "fig19", Shard: "5/3"}); err == nil {
+	if _, _, err := s.Submit(JobSpec{Experiment: "fig19", Shard: "5/3"}, trace.SpanContext{}); err == nil {
 		t.Fatal("bad shard spec accepted")
 	}
 	// Sharded jobs need a disk-backed cache; this server is memory-only.
-	if _, _, err := s.Submit(JobSpec{Experiment: "fig19", Shard: "1/3"}); err == nil {
+	if _, _, err := s.Submit(JobSpec{Experiment: "fig19", Shard: "1/3"}, trace.SpanContext{}); err == nil {
 		t.Fatal("sharded job accepted without a disk cache")
 	}
 
 	// Tenant becomes a Prometheus label and a dedupe-key component, so
 	// arbitrary client strings are rejected at submit (docs/METRICS.md).
-	if _, _, err := s.Submit(JobSpec{Experiment: "fig19", Tenant: "bad tenant!"}); err == nil {
+	if _, _, err := s.Submit(JobSpec{Experiment: "fig19", Tenant: "bad tenant!"}, trace.SpanContext{}); err == nil {
 		t.Fatal("tenant with disallowed characters accepted")
 	}
-	if _, _, err := s.Submit(JobSpec{Experiment: "fig19", Tenant: strings.Repeat("a", maxTenantLen+1)}); err == nil {
+	if _, _, err := s.Submit(JobSpec{Experiment: "fig19", Tenant: strings.Repeat("a", maxTenantLen+1)}, trace.SpanContext{}); err == nil {
 		t.Fatal("overlong tenant accepted")
 	}
 
@@ -433,7 +463,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 	var sts []JobStatus
 	for i := 0; i < 3; i++ {
-		st, _, err := s.Submit(JobSpec{Experiment: "table2", Trials: 2, Seed: seedOf(int64(i))})
+		st, _, err := s.Submit(JobSpec{Experiment: "table2", Trials: 2, Seed: seedOf(int64(i))}, trace.SpanContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +478,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 			t.Fatalf("job %s not drained: %+v", st.ID, got)
 		}
 	}
-	if _, _, err := s.Submit(JobSpec{Experiment: "table2"}); err != errShuttingDown {
+	if _, _, err := s.Submit(JobSpec{Experiment: "table2"}, trace.SpanContext{}); err != errShuttingDown {
 		t.Fatalf("post-shutdown submit: %v", err)
 	}
 	s.Close() // idempotent
@@ -465,7 +495,7 @@ func TestFinishedJobRetention(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 4; i++ {
-		st, _, err := s.Submit(JobSpec{Experiment: "table2", Trials: 2, Seed: seedOf(int64(i))})
+		st, _, err := s.Submit(JobSpec{Experiment: "table2", Trials: 2, Seed: seedOf(int64(i))}, trace.SpanContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -502,11 +532,11 @@ func TestQueueFull(t *testing.T) {
 	s := New(Config{Env: env, Store: store, Workers: 1, MaxConcurrentJobs: 1, QueueDepth: 2})
 	// No Start(): the queue only fills.
 	for i := 0; i < 2; i++ {
-		if _, _, err := s.Submit(JobSpec{Experiment: "table2", Seed: seedOf(int64(i))}); err != nil {
+		if _, _, err := s.Submit(JobSpec{Experiment: "table2", Seed: seedOf(int64(i))}, trace.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, _, err := s.Submit(JobSpec{Experiment: "table2", Seed: seedOf(99)})
+	_, _, err := s.Submit(JobSpec{Experiment: "table2", Seed: seedOf(99)}, trace.SpanContext{})
 	var ae *AdmissionError
 	if !errors.As(err, &ae) || ae.Reason != "queue_full" || ae.Status != http.StatusServiceUnavailable {
 		t.Fatalf("overflow submit: %v", err)
@@ -560,7 +590,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	s := New(Config{Env: env, Store: store, Workers: 1, MaxConcurrentJobs: 1, QueueDepth: 8})
 	// No Start(): the job stays queued until we cancel it.
 	spec := JobSpec{Experiment: "fig15", Trials: 2, Seed: seedOf(5)}
-	st, _, err := s.Submit(spec)
+	st, _, err := s.Submit(spec, trace.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,7 +600,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	// The slot is free: an identical resubmission is a fresh job, not a
 	// coalescence onto the canceled one.
-	st2, deduped, err := s.Submit(spec)
+	st2, deduped, err := s.Submit(spec, trace.SpanContext{})
 	if err != nil || deduped || st2.ID == st.ID {
 		t.Fatalf("canceled job still coalesces: deduped=%v id=%s err=%v", deduped, st2.ID, err)
 	}
@@ -607,16 +637,8 @@ func TestCancelRunningJob(t *testing.T) {
 
 	// A grid big enough that cancellation always lands mid-run.
 	st := submit(t, ts, JobSpec{Experiment: "fig16", Trials: 6, Seed: seedOf(2026)}, http.StatusAccepted)
-	deadline := time.Now().Add(time.Minute)
-	for {
-		cur, _ := s.Job(st.ID)
-		if cur.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started")
-		}
-		time.Sleep(2 * time.Millisecond)
+	if followEvents(t, ts, st.ID, func(s State) bool { return s == StateRunning }) != StateRunning {
+		t.Fatal("job never started")
 	}
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -646,28 +668,54 @@ func TestCancelRunningJob(t *testing.T) {
 }
 
 // TestFinishedJobTTL: with a TTL configured, terminal jobs are forgotten
-// by age even when the count cap has room.
+// by age even when the count cap has room. Expiry is checked on every
+// lookup and listing, so the fake clock drives it without a sleep.
 func TestFinishedJobTTL(t *testing.T) {
+	const ttl = time.Hour
+	clk := withFakeClock(t, time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC))
 	store, _ := cache.New("")
 	env := experiments.NewEnv()
 	env.Cache = store
 	s := New(Config{Env: env, Store: store, Workers: 1, MaxConcurrentJobs: 1, QueueDepth: 8,
-		MaxFinishedJobs: 100, FinishedJobTTL: 50 * time.Millisecond})
-	st, _, err := s.Submit(JobSpec{Experiment: "table2", Trials: 2, Seed: seedOf(1)})
+		MaxFinishedJobs: 100, FinishedJobTTL: ttl})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	finishOne := func(seed int64) string {
+		t.Helper()
+		st, _, err := s.Submit(JobSpec{Experiment: "table2", Trials: 2, Seed: seedOf(seed)}, trace.SpanContext{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.runNext()
+		if cur, ok := s.Job(st.ID); !ok || cur.State != StateDone {
+			t.Fatalf("job %s gone or unfinished before its TTL: %+v", st.ID, cur)
+		}
+		return st.ID
+	}
+
+	// Lookup: a job finished longer than the TTL ago is never served.
+	id := finishOne(1)
+	clk.advance(ttl)
+	if _, ok := s.Job(id); ok {
+		t.Fatal("finished job outlived its TTL")
+	}
+
+	// Listing expires the same way.
+	finishOne(2)
+	clk.advance(ttl)
+	resp, err := http.Get(ts.URL + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Start()
-	defer s.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := s.Job(st.ID); !ok {
-			return // expired
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("finished job outlived its TTL")
-		}
-		time.Sleep(10 * time.Millisecond)
+	defer resp.Body.Close()
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != 0 {
+		t.Fatalf("listing served %d expired job(s)", len(list.Jobs))
 	}
 }
 
@@ -892,7 +940,7 @@ func TestTimingUnavailableBeforeTerminal(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	st, _, err := s.Submit(JobSpec{Experiment: "fig19", Trials: 4, Seed: seedOf(7)})
+	st, _, err := s.Submit(JobSpec{Experiment: "fig19", Trials: 4, Seed: seedOf(7)}, trace.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -924,17 +972,17 @@ func TestDedupeJoinAndTenantAccounting(t *testing.T) {
 	s := New(Config{Env: env, Store: store}) // never Started: jobs stay queued
 
 	spec := JobSpec{Experiment: "fig19", Trials: 4, Seed: seedOf(7)}
-	st1, dd1, err := s.Submit(spec)
+	st1, dd1, err := s.Submit(spec, trace.SpanContext{})
 	if err != nil || dd1 {
 		t.Fatalf("first submit: dedup=%v err=%v", dd1, err)
 	}
-	st2, dd2, err := s.Submit(spec)
+	st2, dd2, err := s.Submit(spec, trace.SpanContext{})
 	if err != nil || !dd2 || st2.ID != st1.ID {
 		t.Fatalf("identical live submit should coalesce: dedup=%v id=%s err=%v", dd2, st2.ID, err)
 	}
 	other := spec
 	other.Tenant = "acme"
-	st3, dd3, err := s.Submit(other)
+	st3, dd3, err := s.Submit(other, trace.SpanContext{})
 	if err != nil || dd3 || st3.ID == st1.ID {
 		t.Fatalf("cross-tenant submit must not coalesce: dedup=%v err=%v", dd3, err)
 	}

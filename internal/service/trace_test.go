@@ -30,6 +30,13 @@ func (c *fakeClock) Now() time.Time {
 	return c.t
 }
 
+// advance jumps the clock forward by d, on top of the per-read step.
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(d)
+}
+
 // withFakeClock swaps the service tier's clock seam for the test's
 // lifetime. Tests in this package do not run in parallel.
 func withFakeClock(t *testing.T, base time.Time) *fakeClock {
@@ -85,7 +92,7 @@ func TestTraceEndpointSpanTree(t *testing.T) {
 	runOnce := func() ([]byte, []byte, JobStatus) {
 		withFakeClock(t, base)
 		s, ts := unstartedServer(t)
-		st, _, err := s.Submit(spec)
+		st, _, err := s.Submit(spec, trace.SpanContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +201,7 @@ func TestTraceEndpointSpanTree(t *testing.T) {
 func TestFakeClockExactStageDurations(t *testing.T) {
 	withFakeClock(t, time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC))
 	s, ts := unstartedServer(t)
-	st, _, err := s.Submit(JobSpec{Experiment: "fig19", Trials: 3, Seed: seedOf(2026)})
+	st, _, err := s.Submit(JobSpec{Experiment: "fig19", Trials: 3, Seed: seedOf(2026)}, trace.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +316,7 @@ func TestTraceJoinsTraceparent(t *testing.T) {
 // just its root and queue spans.
 func TestTraceUnavailableBeforeTerminal(t *testing.T) {
 	s, ts := unstartedServer(t)
-	st, _, err := s.Submit(JobSpec{Experiment: "fig19", Trials: 3, Seed: seedOf(7)})
+	st, _, err := s.Submit(JobSpec{Experiment: "fig19", Trials: 3, Seed: seedOf(7)}, trace.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
